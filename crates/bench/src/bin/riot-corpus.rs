@@ -3,12 +3,13 @@
 //! asserts byte-identical output in every cell and the manifests' exact
 //! counted-I/O budgets, measures governance checkpoint overhead
 //! (ungoverned vs. governed with empty limits; `--test-mode` asserts it
-//! stays under 5%), and (in full mode) emits `BENCH_pr10.json` with
+//! stays under 5%), and (with `--out <path>`) writes a JSON report with
 //! per-cell wall clock, I/O, one `QueryProfile` tree per workload, and
-//! the governance-overhead rows.
+//! the governance-overhead rows. Without `--out` no file is written.
 //!
 //! ```text
-//! cargo run --release -p riot-bench --bin riot-corpus              # full profile + BENCH_pr10.json
+//! cargo run --release -p riot-bench --bin riot-corpus                          # full profile
+//! cargo run --release -p riot-bench --bin riot-corpus -- --out corpus.json    # ... + JSON report
 //! cargo run --release -p riot-bench --bin riot-corpus -- --test-mode   # CI gate, small sizes
 //! cargo run --release -p riot-bench --bin riot-corpus -- --update     # regenerate budgets/checksums
 //! ```
@@ -24,15 +25,24 @@ use riot_rlang::Interpreter;
 use riot_storage::PREFETCH_AUTO;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let test_mode = args.iter().any(|a| a == "--test-mode");
-    let update = args.iter().any(|a| a == "--update");
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| !matches!(a.as_str(), "--test-mode" | "--update"))
-    {
-        eprintln!("unknown flag: {unknown} (expected --test-mode and/or --update)");
-        std::process::exit(2);
+    let (mut test_mode, mut update, mut out) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--test-mode" => test_mode = true,
+            "--update" => update = true,
+            "--out" => match args.next() {
+                Some(path) => out = Some(path),
+                None => {
+                    eprintln!("--out needs a path");
+                    std::process::exit(2);
+                }
+            },
+            unknown => {
+                eprintln!("unknown flag: {unknown} (expected --test-mode, --update, --out <path>)");
+                std::process::exit(2);
+            }
+        }
     }
 
     if update {
@@ -65,8 +75,8 @@ fn main() {
     let overhead = measure_governance_overhead(profile_name);
     print_overhead_table(&overhead, test_mode);
 
-    if !test_mode {
-        write_bench_json(&reports, &overhead, profile_name, cores);
+    if let Some(path) = out {
+        write_bench_json(&path, &reports, &overhead, profile_name, cores);
     }
 }
 
@@ -237,17 +247,17 @@ fn update_manifests() {
     println!("manifests rewritten; verify with --test-mode and a full run");
 }
 
-/// Emit `BENCH_pr10.json` at the repository root: run metadata, one
-/// entry per workload with every grid cell's counters and the captured
-/// Riot profile tree (the deterministic counts-only EXPLAIN rendering),
-/// and the governance checkpoint-overhead rows.
+/// Write the JSON report to `path`: run metadata, one entry per workload
+/// with every grid cell's counters and the captured Riot profile tree
+/// (the deterministic counts-only EXPLAIN rendering), and the governance
+/// checkpoint-overhead rows.
 fn write_bench_json(
+    path: &str,
     reports: &[WorkloadReport],
     overhead: &[OverheadRow],
     profile_name: &str,
     cores: usize,
 ) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json");
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"workload_corpus\",\n");
     let _ = writeln!(out, "  \"profile\": \"{profile_name}\",");
@@ -315,7 +325,7 @@ fn write_bench_json(
         out.push_str(if i + 1 < overhead.len() { ",\n" } else { "\n" });
     }
     out.push_str("    ]\n  }\n}\n");
-    std::fs::write(path, out).expect("write BENCH_pr10.json");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
 }
 

@@ -222,9 +222,11 @@ fn eval_node(
         Node::Densify { input } | Node::Sparsify { input } => get(input).clone(),
         Node::Literal(v) => Value::Vector(Arc::clone(v)),
         Node::Scalar(x) => Value::Scalar(*x),
-        Node::Range { start, len } => {
-            Value::vector((0..*len).map(|i| (*start + i as i64) as f64).collect())
-        }
+        Node::Range { start, len, step } => Value::vector(
+            (0..*len)
+                .map(|i| (*start + step * i as i64) as f64)
+                .collect(),
+        ),
         Node::Map { op, input } => {
             let x = get(input);
             match x {

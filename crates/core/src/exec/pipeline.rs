@@ -195,9 +195,10 @@ impl Pipe for LiteralScan {
     }
 }
 
-/// Generator for `start, start+1, ...` (R's `a:b`), computed on the fly.
+/// Generator for `start, start+step, ...` (R's `a:b`), computed on the fly.
 pub struct RangeScan {
     start: i64,
+    step: i64,
     pos: usize,
     end: usize,
     chunk: usize,
@@ -206,8 +207,14 @@ pub struct RangeScan {
 impl RangeScan {
     /// Stream the sequence `start .. start+len-1`.
     pub fn new(start: i64, len: usize, chunk: usize) -> Self {
+        Self::with_step(start, len, 1, chunk)
+    }
+
+    /// Stream `len` values from `start` in steps of `step`.
+    pub fn with_step(start: i64, len: usize, step: i64, chunk: usize) -> Self {
         RangeScan {
             start,
+            step,
             pos: 0,
             end: len,
             chunk,
@@ -220,7 +227,7 @@ impl Pipe for RangeScan {
         out.clear();
         let take = (self.end - self.pos).min(self.chunk);
         for i in 0..take {
-            out.push((self.start + (self.pos + i) as i64) as f64);
+            out.push((self.start + self.step * (self.pos + i) as i64) as f64);
         }
         self.pos += take;
         Ok(take)
@@ -475,6 +482,13 @@ pub enum Probe {
         /// Sequence length.
         len: usize,
     },
+    /// The descending sequence `start, start-1, ...`.
+    RangeDown {
+        /// First value of the sequence.
+        start: i64,
+        /// Sequence length.
+        len: usize,
+    },
 }
 
 impl Probe {
@@ -483,7 +497,7 @@ impl Probe {
         match self {
             Probe::Stored(v) => v.len(),
             Probe::Mem(v) => v.len(),
-            Probe::Range { len, .. } => *len,
+            Probe::Range { len, .. } | Probe::RangeDown { len, .. } => *len,
         }
     }
 
@@ -498,6 +512,7 @@ impl Probe {
             Probe::Stored(v) => Ok(v.get(i)?),
             Probe::Mem(v) => Ok(v[i]),
             Probe::Range { start, .. } => Ok((*start + i as i64) as f64),
+            Probe::RangeDown { start, .. } => Ok((*start - i as i64) as f64),
         }
     }
 }

@@ -289,12 +289,15 @@ pub enum Node {
     Literal(Arc<Vec<f64>>),
     /// A scalar constant.
     Scalar(f64),
-    /// The sequence `start, start+1, ..., start+len-1` (R's `a:b`).
+    /// The sequence `start, start+step, ..., start+step*(len-1)` (R's
+    /// `a:b`, which counts down when `a > b`).
     Range {
         /// First value.
         start: i64,
         /// Number of values.
         len: usize,
+        /// `1` for an ascending sequence, `-1` for a descending one.
+        step: i64,
     },
     /// Unary elementwise map.
     Map {
@@ -459,10 +462,11 @@ impl Node {
                 k.push(3);
                 k.extend_from_slice(&x.to_bits().to_le_bytes());
             }
-            Node::Range { start, len } => {
+            Node::Range { start, len, step } => {
                 k.push(4);
                 k.extend_from_slice(&start.to_le_bytes());
                 k.extend_from_slice(&(*len as u64).to_le_bytes());
+                k.extend_from_slice(&step.to_le_bytes());
             }
             Node::Map { op, input } => {
                 k.push(5);

@@ -106,7 +106,14 @@ impl ExprGraph {
 
     /// The integer sequence `start .. start+len-1` (R's `a:b`).
     pub fn range(&mut self, start: i64, len: usize) -> NodeId {
-        self.intern(Node::Range { start, len }, Shape::Vector(len))
+        self.range_step(start, len, 1)
+    }
+
+    /// The sequence of `len` integers from `start` in steps of `step`
+    /// (`1` or `-1`).
+    pub fn range_step(&mut self, start: i64, len: usize, step: i64) -> NodeId {
+        debug_assert!(step == 1 || step == -1, "ranges step by one");
+        self.intern(Node::Range { start, len, step }, Shape::Vector(len))
     }
 
     // ---- operator builders ---------------------------------------------
@@ -386,7 +393,9 @@ impl ExprGraph {
                 }
             }
             Node::Scalar(x) => format!("{x}"),
-            Node::Range { start, len } => format!("{}:{}", start, start + *len as i64 - 1),
+            Node::Range { start, len, step } => {
+                format!("{}:{}", start, start + step * (*len as i64 - 1))
+            }
             Node::Map { op, input } => match op {
                 UnOp::Neg => format!("-{}", self.render(*input)),
                 UnOp::Square => format!("{}^2", self.render(*input)),

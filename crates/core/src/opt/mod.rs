@@ -134,7 +134,7 @@ fn rebuild_with_children(
                 } => g.sp_mat_source(source, rows, cols, nnz),
                 Node::Literal(v) => g.literal(v.as_ref().clone()),
                 Node::Scalar(x) => g.scalar(x),
-                Node::Range { start, len } => g.range(start, len),
+                Node::Range { start, len, step } => g.range_step(start, len, step),
                 _ => unreachable!(),
             }
         }

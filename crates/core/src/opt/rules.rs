@@ -473,7 +473,12 @@ fn build_gather(
     };
     // Identity: x[1:len(x)] is x.
     if cfg.fold {
-        if let Node::Range { start: 1, len } = *g.node(index) {
+        if let Node::Range {
+            start: 1,
+            len,
+            step: 1,
+        } = *g.node(index)
+        {
             if len == data_len {
                 stats.folds += 1;
                 return data;
@@ -499,11 +504,17 @@ fn build_gather(
             let pn = push_operand(g, no, index, data_len, cfg, stats);
             build_if_else(g, pc, py, pn, cfg, stats)
         }
-        Node::Range { start, .. } => {
-            // range[i] = start + i - 1: indexing a sequence is arithmetic.
+        Node::Range { start, step, .. } => {
+            // range[i] = start + step * (i - 1): indexing a sequence is
+            // arithmetic.
             stats.gathers_pushed += 1;
-            let offset = g.scalar(start as f64 - 1.0);
-            build_zip(g, BinOp::Add, index, offset, cfg, stats)
+            if step < 0 {
+                let top = g.scalar(start as f64 + 1.0);
+                build_zip(g, BinOp::Sub, top, index, cfg, stats)
+            } else {
+                let offset = g.scalar(start as f64 - 1.0);
+                build_zip(g, BinOp::Add, index, offset, cfg, stats)
+            }
         }
         Node::Gather {
             data: inner,

@@ -12,6 +12,7 @@
 //! transparency claim — and every engine reports I/O through the same
 //! counters, which is what the Figure 1 harness tabulates.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder, VectorWriter};
 use riot_sparse::SparseMatrix;
 use riot_storage::{DiskModel, IoSnapshot, ObjectKind, PoolStats, ReplacerKind};
-use riot_trace::{EventKind, Metrics, SpanToken};
+use riot_trace::{EventKind, Metrics};
 use riot_vm::{PagedHeap, VmConfig, VmId};
 
 use crate::exec::pipeline::{
@@ -167,6 +168,20 @@ pub(crate) enum MatValue {
     Sparse(SparseMatrix),
 }
 
+impl MatValue {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            MatValue::Dense(d) => d.shape(),
+            MatValue::Sparse(s) => s.shape(),
+        }
+    }
+}
+
+/// `rows x cols`, as kernel span details print a shape.
+fn dims((rows, cols): (usize, usize)) -> String {
+    format!("{rows}x{cols}")
+}
+
 /// RAII wrapper freeing a strawman table when the last reference dies —
 /// the dependency-tracking hook of §4.1 ("to be able to safely drop
 /// views, RIOT-DB must track such dependencies").
@@ -202,10 +217,9 @@ impl Drop for StrawMat {
     }
 }
 
-/// Baselines captured at span open so `span_end` can attribute counter
-/// deltas to the span (see [`Runtime::span_begin`]).
-struct SpanGuard {
-    token: SpanToken,
+/// Counter baselines a measured region starts from: a trace span, or a
+/// whole [`crate::Session::profile`] region (see [`Runtime::metrics_since`]).
+pub(crate) struct Counters {
     io: IoSnapshot,
     ops: u64,
     pool: PoolStats,
@@ -369,15 +383,17 @@ impl Runtime {
         crate::profile::render_plan(&self.graph, root)
     }
 
-    /// Run `f` as one governed query. With the governor disengaged (or
-    /// when already inside a governed bracket — forcing points nest) this
-    /// is a direct call. Engaged, it opens the governor's budget bracket,
-    /// snapshots the set of live catalog objects, and — if `f` unwinds
-    /// with a governance abort (cancel, budget, pin timeout) — releases
-    /// everything the query allocated: queued prefetch windows are
-    /// dropped, cache entries backed by query-created objects are purged,
-    /// and the objects themselves are freed, restoring the catalog to its
-    /// pre-query state (the *leak-free abort* pinned invariant).
+    /// Run `f` as one governed query; `Session::query` is the only caller, so
+    /// every session operation that can compute is one query and forcing
+    /// points nested inside it are plain calls. With the governor disengaged,
+    /// or a bracket already open on the shared governor, this is a direct
+    /// call. Engaged, it opens the governor's budget bracket, snapshots the
+    /// set of live catalog objects, and — if `f` unwinds with a governance
+    /// abort (cancel, budget, pin timeout) — releases everything the query
+    /// allocated: queued prefetch windows are dropped, cache entries backed
+    /// by query-created objects are purged, and the objects themselves are
+    /// freed, restoring the catalog to its pre-query state (the *leak-free
+    /// abort* pinned invariant).
     pub(crate) fn governed<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> ExecResult<T>,
@@ -432,34 +448,20 @@ impl Runtime {
         Arc::clone(&self.ctx)
     }
 
-    /// Open a measured span: records the span start plus counter
-    /// baselines, so [`Runtime::span_end`] can attribute the deltas.
-    /// Inert (no snapshots taken) while tracing is disabled.
-    fn span_begin(&self, name: &'static str) -> SpanGuard {
-        let token = self.ctx.tracer().begin_span(name);
-        if !token.is_active() {
-            return SpanGuard {
-                token,
-                io: IoSnapshot::default(),
-                ops: 0,
-                pool: PoolStats::default(),
-            };
-        }
-        SpanGuard {
-            token,
+    /// Snapshot the counters a measured region is attributed from.
+    pub(crate) fn counters(&self) -> Counters {
+        Counters {
             io: self.io_snapshot(),
             ops: self.cpu_ops(),
-            pool: self.ctx.pool().pool_stats(),
+            pool: self.pool_stats(),
         }
     }
 
-    /// Close a measured span with the counter deltas since its open.
-    fn span_end(&self, guard: SpanGuard, detail: String) {
-        if !guard.token.is_active() {
-            return;
-        }
-        let io = self.io_snapshot() - guard.io;
-        let pool = self.ctx.pool().pool_stats().delta(&guard.pool);
+    /// The counter deltas since `base` as trace metrics, plus the full
+    /// pool-counter delta they summarize.
+    pub(crate) fn metrics_since(&self, base: &Counters) -> (Metrics, PoolStats) {
+        let io = self.io_snapshot() - base.io;
+        let pool = self.pool_stats().delta(&base.pool);
         let metrics = Metrics {
             reads: io.reads,
             writes: io.writes,
@@ -467,20 +469,74 @@ impl Runtime {
             seq_writes: io.seq_writes,
             bytes_read: io.bytes_read,
             bytes_written: io.bytes_written,
-            flops: self.cpu_ops() - guard.ops,
+            flops: self.cpu_ops() - base.ops,
             threads: self.cfg.threads.max(1) as u64,
             pool_hits: pool.hits,
             pool_misses: pool.misses,
         };
-        self.ctx.tracer().end_span(guard.token, detail, metrics);
+        (metrics, pool)
     }
 
-    /// Span detail: the node's rendered expression, truncated. Empty
-    /// (allocation-free) while tracing is disabled.
-    fn detail_of(&self, id: NodeId) -> String {
-        if !self.ctx.tracer().is_enabled() {
-            return String::new();
+    /// Run `body` inside the trace span `name`, which records the counter
+    /// deltas of everything `body` did. The span closes on every exit,
+    /// `?` errors included, so a failed forcing point keeps its span.
+    /// `detail` runs at close, and only while tracing is on.
+    fn span<T>(
+        &mut self,
+        name: &'static str,
+        detail: impl FnOnce(&Self) -> String,
+        body: impl FnOnce(&mut Self) -> ExecResult<T>,
+    ) -> ExecResult<T> {
+        let token = self.ctx.tracer().begin_span(name);
+        if !token.is_active() {
+            return body(self);
         }
+        let base = self.counters();
+        let out = body(self);
+        let (metrics, _) = self.metrics_since(&base);
+        self.ctx.tracer().end_span(token, detail(self), metrics);
+        out
+    }
+
+    /// One deferred forcing point: the span `name` around the plan step
+    /// on `root` (see [`Runtime::plan`]) and `body` on the planned root.
+    /// The span's detail is the planned root's expression.
+    fn force<T>(
+        &mut self,
+        name: &'static str,
+        root: NodeId,
+        body: impl FnOnce(&mut Self, NodeId) -> ExecResult<T>,
+    ) -> ExecResult<T> {
+        let planned = Cell::new(root);
+        self.span(
+            name,
+            |rt| rt.detail_of(planned.get()),
+            |rt| {
+                planned.set(rt.plan(root)?);
+                body(rt, planned.get())
+            },
+        )
+    }
+
+    /// The plan step of every deferred forcing point. Under Riot it
+    /// optimizes `root`, keeps the rewrite statistics, records the
+    /// optimizer's trace events and, for vector and scalar roots, spills
+    /// shared subexpressions. It is the identity under MatNamed.
+    fn plan(&mut self, root: NodeId) -> ExecResult<NodeId> {
+        if self.cfg.kind != EngineKind::Riot {
+            return Ok(root);
+        }
+        let (root, stats) = optimize(&mut self.graph, root, &self.cfg.opt);
+        self.last_opt_stats = stats;
+        self.record_opt_events(root);
+        if !matches!(self.graph.shape(root), Shape::Matrix(..)) {
+            self.spill_shared(root)?;
+        }
+        Ok(root)
+    }
+
+    /// Span detail: the node's rendered expression, truncated.
+    fn detail_of(&self, id: NodeId) -> String {
         let mut s = self.graph.render(id);
         if s.len() > 120 {
             s.truncate(117);
@@ -836,10 +892,6 @@ impl Runtime {
 
     /// Elementwise binary op between two vector values (R recycling).
     pub(crate) fn binop(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.binop_ungoverned(op, lhs, rhs))
-    }
-
-    fn binop_ungoverned(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (VecRepr::Node(l), VecRepr::Node(r)) = (lhs, rhs) else {
@@ -854,16 +906,6 @@ impl Runtime {
 
     /// Elementwise binary op against a scalar.
     pub(crate) fn binop_scalar(
-        &mut self,
-        op: BinOp,
-        lhs: &VecRepr,
-        scalar: f64,
-        scalar_on_left: bool,
-    ) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.binop_scalar_ungoverned(op, lhs, scalar, scalar_on_left))
-    }
-
-    fn binop_scalar_ungoverned(
         &mut self,
         op: BinOp,
         lhs: &VecRepr,
@@ -924,10 +966,6 @@ impl Runtime {
 
     /// Elementwise unary map.
     pub(crate) fn unop(&mut self, op: UnOp, input: &VecRepr) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.unop_ungoverned(op, input))
-    }
-
-    fn unop_ungoverned(&mut self, op: UnOp, input: &VecRepr) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let VecRepr::Node(i) = input else {
@@ -1077,10 +1115,6 @@ impl Runtime {
 
     /// Subscript read `data[index]`.
     pub(crate) fn gather(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.gather_ungoverned(data, index))
-    }
-
-    fn gather_ungoverned(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (VecRepr::Node(d), VecRepr::Node(i)) = (data, index) else {
@@ -1141,15 +1175,6 @@ impl Runtime {
         mask: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.mask_assign_ungoverned(data, mask, value))
-    }
-
-    fn mask_assign_ungoverned(
-        &mut self,
-        data: &VecRepr,
-        mask: &VecRepr,
-        value: &VecRepr,
-    ) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (VecRepr::Node(d), VecRepr::Node(m), VecRepr::Node(v)) = (data, mask, value)
@@ -1169,15 +1194,6 @@ impl Runtime {
 
     /// Masked update against a scalar replacement value.
     pub(crate) fn mask_assign_scalar(
-        &mut self,
-        data: &VecRepr,
-        mask: &VecRepr,
-        value: f64,
-    ) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.mask_assign_scalar_ungoverned(data, mask, value))
-    }
-
-    fn mask_assign_scalar_ungoverned(
         &mut self,
         data: &VecRepr,
         mask: &VecRepr,
@@ -1293,15 +1309,6 @@ impl Runtime {
         index: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.sub_assign_ungoverned(data, index, value))
-    }
-
-    fn sub_assign_ungoverned(
-        &mut self,
-        data: &VecRepr,
-        index: &VecRepr,
-        value: &VecRepr,
-    ) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (VecRepr::Node(d), VecRepr::Node(i), VecRepr::Node(v)) = (data, index, value)
@@ -1411,23 +1418,25 @@ impl Runtime {
         }
     }
 
-    /// The sequence `start..=end` (R's `start:end`).
+    /// The sequence `start:end` (R's `start:end`, descending when
+    /// `start > end`).
     pub(crate) fn range(&mut self, start: i64, end: i64) -> ExecResult<VecRepr> {
-        assert!(end >= start, "descending ranges not supported");
-        let len = (end - start + 1) as usize;
+        let len = (end.abs_diff(start) + 1) as usize;
+        let step = if end < start { -1 } else { 1 };
+        let value = |i: usize| (start + step * i as i64) as f64;
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
-                Ok(VecRepr::Node(self.graph.range(start, len)))
+                Ok(VecRepr::Node(self.graph.range_step(start, len, step)))
             }
             EngineKind::PlainR => {
                 let id = self.heap.alloc(len);
-                let data: Vec<f64> = (0..len).map(|i| (start + i as i64) as f64).collect();
+                let data: Vec<f64> = (0..len).map(value).collect();
                 self.heap.write_chunk(id, 0, &data);
                 Ok(VecRepr::Vm(id))
             }
             EngineKind::Strawman => {
                 let vec = DenseVector::create_wide(&self.ctx, len, None)?;
-                let data: Vec<f64> = (0..len).map(|i| (start + i as i64) as f64).collect();
+                let data: Vec<f64> = (0..len).map(value).collect();
                 vec.write_range(0, &data)?;
                 Ok(VecRepr::Table(Rc::new(StrawTable { owned: true, vec })))
             }
@@ -1437,34 +1446,16 @@ impl Runtime {
     /// Reduce a vector to a scalar (forces evaluation on all engines, but
     /// deferred engines stream without materializing).
     pub(crate) fn aggregate(&mut self, op: AggOp, v: &VecRepr) -> ExecResult<f64> {
-        self.governed(|rt| rt.aggregate_ungoverned(op, v))
-    }
-
-    fn aggregate_ungoverned(&mut self, op: AggOp, v: &VecRepr) -> ExecResult<f64> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let VecRepr::Node(id) = v else { unreachable!() };
-                let span = self.span_begin("aggregate");
-                let mut root = self.graph.agg(op, *id);
-                if self.cfg.kind == EngineKind::Riot {
-                    let (r, stats) = optimize(&mut self.graph, root, &self.cfg.opt.clone());
-                    self.last_opt_stats = stats;
-                    root = r;
-                    self.record_opt_events(root);
-                    self.spill_shared(root)?;
-                }
-                let detail = self.detail_of(root);
-                let Node::Agg { op, input } = *self.graph.node(root) else {
-                    // Optimizer folded the aggregate to a scalar.
-                    if let Node::Scalar(c) = *self.graph.node(root) {
-                        self.span_end(span, detail);
-                        return Ok(c);
-                    }
-                    unreachable!("agg root stays an agg");
-                };
-                let out = self.aggregate_node(op, input);
-                self.span_end(span, detail);
-                out
+                let root = self.graph.agg(op, *id);
+                self.force("aggregate", root, |rt, root| match *rt.graph.node(root) {
+                    Node::Agg { op, input } => rt.aggregate_node(op, input),
+                    // The optimizer folded the aggregate to a scalar.
+                    Node::Scalar(c) => Ok(c),
+                    _ => unreachable!("agg root stays an agg"),
+                })
             }
             EngineKind::PlainR => {
                 let VecRepr::Vm(id) = v else { unreachable!() };
@@ -1516,23 +1507,8 @@ impl Runtime {
 
     // ================= forcing =================
 
-    /// Bind `name` (engine-specific). For `MatNamed` this materializes the
-    /// node to disk — the defining behaviour of that strategy.
-    pub(crate) fn assign(&mut self, v: &VecRepr) -> ExecResult<()> {
-        if self.cfg.kind == EngineKind::MatNamed {
-            if let VecRepr::Node(id) = v {
-                self.force_vector_to_disk(*id)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Materialize node `id` to a stored vector (idempotent).
     pub(crate) fn force_vector_to_disk(&mut self, id: NodeId) -> ExecResult<DenseVector> {
-        self.governed(|rt| rt.force_vector_to_disk_ungoverned(id))
-    }
-
-    fn force_vector_to_disk_ungoverned(&mut self, id: NodeId) -> ExecResult<DenseVector> {
         if let Some(v) = self.materialized.get(&id) {
             return Ok(v.clone());
         }
@@ -1540,25 +1516,23 @@ impl Runtime {
         if let Node::VecSource { source, .. } = self.graph.node(id) {
             return Ok(self.vec_sources[&source.0].clone());
         }
-        let span = self.span_begin("materialize");
-        let detail = self.detail_of(id);
-        let len = self.graph.shape(id).len();
-        let pipe = self.compile(id, len)?;
-        let ctx = Arc::clone(&self.ctx);
-        let vec = materialize(pipe, &ctx, None)?;
-        vec.flush()?;
-        self.materialized.insert(id, vec.clone());
-        self.span_end(span, detail);
-        Ok(vec)
+        self.span(
+            "materialize",
+            |rt| rt.detail_of(id),
+            |rt| {
+                let len = rt.graph.shape(id).len();
+                let pipe = rt.compile(id, len)?;
+                let vec = materialize(pipe, &rt.ctx, None)?;
+                vec.flush()?;
+                rt.materialized.insert(id, vec.clone());
+                Ok(vec)
+            },
+        )
     }
 
     /// Fully evaluate a vector value into memory (the `print` forcing
     /// point). Riot optimizes the whole reachable DAG here.
     pub(crate) fn collect(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
-        self.governed(|rt| rt.collect_ungoverned(v))
-    }
-
-    fn collect_ungoverned(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
         match (&self.cfg.kind, v) {
             (EngineKind::PlainR, VecRepr::Vm(id)) => {
                 let id = *id;
@@ -1566,46 +1540,22 @@ impl Runtime {
                 Ok(self.heap.to_vec(id))
             }
             (EngineKind::Strawman, VecRepr::Table(t)) => Ok(t.vec.to_vec()?),
-            (EngineKind::MatNamed, VecRepr::Node(id)) => {
-                let id = *id;
-                if let Some(vec) = self.materialized.get(&id) {
-                    return Ok(vec.to_vec()?);
+            (kind, VecRepr::Node(id)) => {
+                // MatNamed reads a name it already materialized back as is.
+                if *kind == EngineKind::MatNamed {
+                    if let Some(vec) = self.materialized.get(id) {
+                        return Ok(vec.to_vec()?);
+                    }
                 }
-                let span = self.span_begin("collect");
-                let detail = self.detail_of(id);
-                let len = self.graph.shape(id).len();
-                self.count_ops(len);
-                if let Some(out) = self.try_parallel_collect(id, len)? {
-                    self.span_end(span, detail);
-                    return Ok(out);
-                }
-                let pipe = governed(self.compile(id, len)?, &self.ctx, "pipeline.collect.chunk");
-                let out = drain_to_vec(pipe)?;
-                self.span_end(span, detail);
-                Ok(out)
-            }
-            (EngineKind::Riot, VecRepr::Node(id)) => {
-                let span = self.span_begin("collect");
-                let cfg = self.cfg.opt;
-                let (root, stats) = optimize(&mut self.graph, *id, &cfg);
-                self.last_opt_stats = stats;
-                self.record_opt_events(root);
-                self.spill_shared(root)?;
-                let detail = self.detail_of(root);
-                let len = self.graph.shape(root).len();
-                self.count_ops(len);
-                if let Some(out) = self.try_parallel_collect(root, len)? {
-                    self.span_end(span, detail);
-                    return Ok(out);
-                }
-                let pipe = governed(
-                    self.compile(root, len)?,
-                    &self.ctx,
-                    "pipeline.collect.chunk",
-                );
-                let out = drain_to_vec(pipe)?;
-                self.span_end(span, detail);
-                Ok(out)
+                self.force("collect", *id, |rt, root| {
+                    let len = rt.graph.shape(root).len();
+                    rt.count_ops(len);
+                    if let Some(out) = rt.try_parallel_collect(root, len)? {
+                        return Ok(out);
+                    }
+                    let pipe = governed(rt.compile(root, len)?, &rt.ctx, "pipeline.collect.chunk");
+                    drain_to_vec(pipe)
+                })
             }
             _ => unreachable!("representation matches engine"),
         }
@@ -1864,7 +1814,9 @@ impl Runtime {
                 self.chunk(),
             )),
             Node::Literal(data) => Box::new(LiteralScan::new(data, self.chunk())),
-            Node::Range { start, len } => Box::new(RangeScan::new(start, len, self.chunk())),
+            Node::Range { start, len, step } => {
+                Box::new(RangeScan::with_step(start, len, step, self.chunk()))
+            }
             Node::Scalar(_) => unreachable!("handled above"),
             Node::Map { op, input } => {
                 let input = self.compile(input, out_len)?;
@@ -1962,7 +1914,8 @@ impl Runtime {
                 Ok(Probe::Stored(self.vec_sources[&source.0].clone()))
             }
             Node::Literal(data) => Ok(Probe::Mem(data)),
-            Node::Range { start, len } => Ok(Probe::Range { start, len }),
+            Node::Range { start, len, step } if step < 0 => Ok(Probe::RangeDown { start, len }),
+            Node::Range { start, len, .. } => Ok(Probe::Range { start, len }),
             _ => {
                 let vec = self.force_vector_to_disk(id)?;
                 Ok(Probe::Stored(vec))
@@ -1972,16 +1925,6 @@ impl Runtime {
 
     /// Materialize `data`, then overwrite positions `index` with `value`.
     fn force_subassign(
-        &mut self,
-        node_id: NodeId,
-        data: NodeId,
-        index: NodeId,
-        value: NodeId,
-    ) -> ExecResult<DenseVector> {
-        self.governed(|rt| rt.force_subassign_ungoverned(node_id, data, index, value))
-    }
-
-    fn force_subassign_ungoverned(
         &mut self,
         node_id: NodeId,
         data: NodeId,
@@ -2030,15 +1973,6 @@ impl Runtime {
         yes: &VecRepr,
         no: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.governed(|rt| rt.ifelse_ungoverned(cond, yes, no))
-    }
-
-    fn ifelse_ungoverned(
-        &mut self,
-        cond: &VecRepr,
-        yes: &VecRepr,
-        no: &VecRepr,
-    ) -> ExecResult<VecRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (VecRepr::Node(c), VecRepr::Node(y), VecRepr::Node(n)) = (cond, yes, no) else {
@@ -2064,10 +1998,6 @@ impl Runtime {
 
     /// Matrix transpose.
     pub(crate) fn transpose(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.transpose_ungoverned(m))
-    }
-
-    fn transpose_ungoverned(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let MatRepr::Node(id) = m else { unreachable!() };
@@ -2109,10 +2039,6 @@ impl Runtime {
 
     /// Matrix product.
     pub(crate) fn matmul(&mut self, lhs: &MatRepr, rhs: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.matmul_ungoverned(lhs, rhs))
-    }
-
-    fn matmul_ungoverned(&mut self, lhs: &MatRepr, rhs: &MatRepr) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (MatRepr::Node(l), MatRepr::Node(r)) = (lhs, rhs) else {
@@ -2177,10 +2103,6 @@ impl Runtime {
     /// `L · Lᵀ = a`. Deferred engines record a [`Node::Chol`]; the eager
     /// engines factor immediately in their own representation.
     pub(crate) fn mat_chol(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.mat_chol_ungoverned(m))
-    }
-
-    fn mat_chol_ungoverned(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let MatRepr::Node(id) = m else { unreachable!() };
@@ -2225,10 +2147,6 @@ impl Runtime {
     /// Linear solve `solve(a, b)` for symmetric positive definite `a` —
     /// always Cholesky-backed; no engine materializes an inverse.
     pub(crate) fn mat_solve(&mut self, a: &MatRepr, b: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.mat_solve_ungoverned(a, b))
-    }
-
-    fn mat_solve_ungoverned(&mut self, a: &MatRepr, b: &MatRepr) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::MatNamed | EngineKind::Riot => {
                 let (MatRepr::Node(l), MatRepr::Node(r)) = (a, b) else {
@@ -2299,10 +2217,6 @@ impl Runtime {
 
     /// Fully evaluate a matrix value to row-major data.
     pub(crate) fn collect_matrix(&mut self, m: &MatRepr) -> ExecResult<(usize, usize, Vec<f64>)> {
-        self.governed(|rt| rt.collect_matrix_ungoverned(m))
-    }
-
-    fn collect_matrix_ungoverned(&mut self, m: &MatRepr) -> ExecResult<(usize, usize, Vec<f64>)> {
         match (&self.cfg.kind, m) {
             (EngineKind::PlainR, MatRepr::Vm { id, rows, cols }) => {
                 let data = self.heap.to_vec(*id);
@@ -2312,18 +2226,8 @@ impl Runtime {
                 let (r, c) = sm.mat.shape();
                 Ok((r, c, sm.mat.to_rows()?))
             }
-            (_, MatRepr::Node(id)) => {
-                let span = self.span_begin("collect_matrix");
-                let mut root = *id;
-                if self.cfg.kind == EngineKind::Riot {
-                    let cfg = self.cfg.opt;
-                    let (r, stats) = optimize(&mut self.graph, root, &cfg);
-                    self.last_opt_stats = stats;
-                    root = r;
-                    self.record_opt_events(root);
-                }
-                let detail = self.detail_of(root);
-                let out = match self.force_matrix_value(root)? {
+            (_, MatRepr::Node(id)) => self.force("collect_matrix", *id, |rt, root| {
+                Ok(match rt.force_matrix_value(root)? {
                     MatValue::Dense(mat) => {
                         let (r, c) = mat.shape();
                         (r, c, mat.to_rows()?)
@@ -2332,10 +2236,8 @@ impl Runtime {
                         let (r, c) = sp.shape();
                         (r, c, sp.to_rows()?)
                     }
-                };
-                self.span_end(span, detail);
-                Ok(out)
-            }
+                })
+            }),
             _ => unreachable!("representation matches engine"),
         }
     }
@@ -2354,10 +2256,6 @@ impl Runtime {
     /// whenever the forced operand is sparse — no combination in the
     /// `{sparse, dense}` product/transpose table densifies implicitly.
     pub(crate) fn force_matrix_value(&mut self, id: NodeId) -> ExecResult<MatValue> {
-        self.governed(|rt| rt.force_matrix_value_ungoverned(id))
-    }
-
-    fn force_matrix_value_ungoverned(&mut self, id: NodeId) -> ExecResult<MatValue> {
         if let Some(m) = self.mat_materialized.get(&id) {
             return Ok(MatValue::Dense(m.clone()));
         }
@@ -2389,64 +2287,56 @@ impl Runtime {
             // never optimizes) reaches the same native kernel.
             Node::Transpose { input } | Node::SpTranspose { input } => {
                 match self.force_matrix_value(input)? {
-                    MatValue::Sparse(s) => {
-                        let span = self.span_begin("sptranspose");
-                        let detail = if span.token.is_active() {
-                            let (r, c) = s.shape();
-                            format!("{r}x{c} nnz={}", s.nnz())
-                        } else {
-                            String::new()
-                        };
-                        let (t, moved) = spkernel::sptranspose(&s, None)?;
-                        self.count_ops(moved as usize);
-                        self.span_end(span, detail);
-                        MatValue::Sparse(t)
-                    }
-                    MatValue::Dense(d) => {
-                        let span = self.span_begin("transpose");
-                        let detail = if span.token.is_active() {
-                            let (r, c) = d.shape();
-                            format!("{r}x{c}")
-                        } else {
-                            String::new()
-                        };
-                        let t = d.transpose(MatrixLayout::Square, TileOrder::RowMajor, None)?;
-                        self.span_end(span, detail);
-                        MatValue::Dense(t)
-                    }
+                    MatValue::Sparse(s) => self.span(
+                        "sptranspose",
+                        |_| format!("{} nnz={}", dims(s.shape()), s.nnz()),
+                        |rt| {
+                            let (t, moved) = spkernel::sptranspose(&s, None)?;
+                            rt.count_ops(moved as usize);
+                            Ok(MatValue::Sparse(t))
+                        },
+                    )?,
+                    MatValue::Dense(d) => self.span(
+                        "transpose",
+                        |_| dims(d.shape()),
+                        |_| {
+                            let t = d.transpose(MatrixLayout::Square, TileOrder::RowMajor, None)?;
+                            Ok(MatValue::Dense(t))
+                        },
+                    )?,
                 }
             }
             Node::Chol { input } => {
                 let a = self.force_dense_value(input)?;
-                let span = self.span_begin("chol");
-                let detail = if span.token.is_active() {
-                    let (r, c) = a.shape();
-                    format!("{r}x{c}")
-                } else {
-                    String::new()
-                };
-                let threads = self.cfg.threads.max(1);
-                let (l, flops) = factor::chol_tiled_parallel(&a, self.mem_elems(), threads, None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(l)
+                self.span(
+                    "chol",
+                    |_| dims(a.shape()),
+                    |rt| {
+                        let threads = rt.cfg.threads.max(1);
+                        let (l, flops) =
+                            factor::chol_tiled_parallel(&a, rt.mem_elems(), threads, None)?;
+                        rt.count_ops(flops as usize);
+                        Ok(MatValue::Dense(l))
+                    },
+                )?
             }
             Node::Solve { lhs, rhs } => {
                 let a = self.force_dense_value(lhs)?;
                 let b = self.force_dense_value(rhs)?;
-                let span = self.span_begin("solve");
-                let detail = if span.token.is_active() {
-                    let (r, c) = a.shape();
-                    let (_, m) = b.shape();
-                    format!("{r}x{c} \\ {r}x{m}")
-                } else {
-                    String::new()
-                };
-                let threads = self.cfg.threads.max(1);
-                let (x, flops) = factor::cholesky_solve(&a, &b, self.mem_elems(), threads, None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(x)
+                self.span(
+                    "solve",
+                    |_| {
+                        let (r, c) = a.shape();
+                        format!("{r}x{c} \\ {r}x{}", b.cols())
+                    },
+                    |rt| {
+                        let threads = rt.cfg.threads.max(1);
+                        let (x, flops) =
+                            factor::cholesky_solve(&a, &b, rt.mem_elems(), threads, None)?;
+                        rt.count_ops(flops as usize);
+                        Ok(MatValue::Dense(x))
+                    },
+                )?
             }
             other => {
                 return Err(ExecError::Unsupported(format!(
@@ -2480,122 +2370,70 @@ impl Runtime {
     /// default, is the bit-for-bit sequential schedule).
     fn multiply_values(&mut self, a: MatValue, b: MatValue) -> ExecResult<MatValue> {
         let threads = self.cfg.threads.max(1);
-        Ok(match (a, b) {
+        let detail = |_: &Self| {
+            let (ar, ac) = a.shape();
+            format!("{ar}x{ac} * {ac}x{}", b.shape().1)
+        };
+        match (&a, &b) {
             (MatValue::Sparse(a), MatValue::Sparse(b)) => {
                 let (atr, atc) = a.tile_dims();
                 if (atr, atc) == b.tile_dims() && atr == atc {
-                    let span = self.span_begin("spmm");
-                    let detail = if span.token.is_active() {
-                        let (ar, ac) = a.shape();
-                        let (_, bc) = b.shape();
-                        format!("{ar}x{ac} * {ac}x{bc}")
-                    } else {
-                        String::new()
-                    };
-                    let (t, flops) = spkernel::spmm_parallel(&a, &b, threads, None)?;
-                    self.count_ops(flops as usize);
-                    self.span_end(span, detail);
-                    MatValue::Sparse(t)
+                    self.span("spmm", detail, |rt| {
+                        let (t, flops) = spkernel::spmm_parallel(a, b, threads, None)?;
+                        rt.count_ops(flops as usize);
+                        Ok(MatValue::Sparse(t))
+                    })
                 } else {
                     // Mismatched tilings: fall back to the sparse x dense
                     // kernel on a densified right side.
-                    let span = self.span_begin("spmdm");
-                    let detail = if span.token.is_active() {
-                        let (ar, ac) = a.shape();
-                        let (_, bc) = b.shape();
-                        format!("{ar}x{ac} * {ac}x{bc}")
-                    } else {
-                        String::new()
-                    };
-                    let bd = b.to_dense(TileOrder::RowMajor, None)?;
-                    let (t, flops) = spkernel::spmdm_parallel(&a, &bd, threads, None)?;
-                    self.count_ops(flops as usize);
-                    self.span_end(span, detail);
-                    MatValue::Dense(t)
+                    self.span("spmdm", detail, |rt| {
+                        let bd = b.to_dense(TileOrder::RowMajor, None)?;
+                        let (t, flops) = spkernel::spmdm_parallel(a, &bd, threads, None)?;
+                        rt.count_ops(flops as usize);
+                        Ok(MatValue::Dense(t))
+                    })
                 }
             }
-            (MatValue::Sparse(a), MatValue::Dense(b)) => {
-                let span = self.span_begin("spmdm");
-                let detail = if span.token.is_active() {
-                    let (ar, ac) = a.shape();
-                    let (_, bc) = b.shape();
-                    format!("{ar}x{ac} * {ac}x{bc}")
-                } else {
-                    String::new()
-                };
-                let (t, flops) = spkernel::spmdm_parallel(&a, &b, threads, None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(t)
-            }
-            (MatValue::Dense(a), MatValue::Sparse(b)) => {
-                let span = self.span_begin("dmspm");
-                let detail = if span.token.is_active() {
-                    let (ar, ac) = a.shape();
-                    let (_, bc) = b.shape();
-                    format!("{ar}x{ac} * {ac}x{bc}")
-                } else {
-                    String::new()
-                };
-                let (t, flops) = spkernel::dmspm_parallel(&a, &b, threads, None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(t)
-            }
-            (MatValue::Dense(a), MatValue::Dense(b)) => {
-                let span = self.span_begin("matmul");
-                let detail = if span.token.is_active() {
-                    let (ar, ac) = a.shape();
-                    let (_, bc) = b.shape();
-                    format!("{ar}x{ac} * {ac}x{bc}")
-                } else {
-                    String::new()
-                };
-                let (t, flops) =
-                    matmul::multiply(self.cfg.matmul_kernel, &a, &b, self.mem_elems(), None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(t)
-            }
-        })
+            (MatValue::Sparse(a), MatValue::Dense(b)) => self.span("spmdm", detail, |rt| {
+                let (t, flops) = spkernel::spmdm_parallel(a, b, threads, None)?;
+                rt.count_ops(flops as usize);
+                Ok(MatValue::Dense(t))
+            }),
+            (MatValue::Dense(a), MatValue::Sparse(b)) => self.span("dmspm", detail, |rt| {
+                let (t, flops) = spkernel::dmspm_parallel(a, b, threads, None)?;
+                rt.count_ops(flops as usize);
+                Ok(MatValue::Dense(t))
+            }),
+            (MatValue::Dense(a), MatValue::Dense(b)) => self.span("matmul", detail, |rt| {
+                let kernel = rt.cfg.matmul_kernel;
+                let (t, flops) = matmul::multiply(kernel, a, b, rt.mem_elems(), None)?;
+                rt.count_ops(flops as usize);
+                Ok(MatValue::Dense(t))
+            }),
+        }
     }
 
     /// Non-zero count of a matrix value. For a deferred sparse source this
     /// is the catalog statistic (no I/O); anything else is forced and
     /// counted by streaming its tiles.
     pub(crate) fn mat_nnz(&mut self, m: &MatRepr) -> ExecResult<u64> {
-        self.governed(|rt| rt.mat_nnz_ungoverned(m))
-    }
-
-    fn mat_nnz_ungoverned(&mut self, m: &MatRepr) -> ExecResult<u64> {
         match m {
             MatRepr::Node(id) => {
                 if let Node::SpMatSource { nnz, .. } = self.graph.node(*id) {
                     return Ok(*nnz);
                 }
-                // Forcing point: optimize first under Riot, exactly like
-                // collect_matrix, so nnz() executes the same physical
-                // plan (and records the same stats) as a collect would.
-                let span = self.span_begin("nnz");
-                let mut root = *id;
-                if self.cfg.kind == EngineKind::Riot {
-                    let cfg = self.cfg.opt;
-                    let (r, stats) = optimize(&mut self.graph, root, &cfg);
-                    self.last_opt_stats = stats;
-                    root = r;
-                    self.record_opt_events(root);
-                }
-                let detail = self.detail_of(root);
-                let out = match self.force_matrix_value(root)? {
-                    MatValue::Sparse(s) => s.nnz(),
-                    MatValue::Dense(d) => {
-                        let n = count_dense_nnz(&d)?;
-                        self.count_ops(d.rows() * d.cols());
-                        n
+                // A forcing point like collect_matrix, so nnz() executes
+                // the same physical plan (and records the same stats).
+                self.force("nnz", *id, |rt, root| {
+                    match rt.force_matrix_value(root)? {
+                        MatValue::Sparse(s) => Ok(s.nnz()),
+                        MatValue::Dense(d) => {
+                            let n = count_dense_nnz(&d)?;
+                            rt.count_ops(d.rows() * d.cols());
+                            Ok(n)
+                        }
                     }
-                };
-                self.span_end(span, detail);
-                Ok(out)
+                })
             }
             MatRepr::Vm { id, rows, cols } => {
                 let n = rows * cols;
@@ -2621,10 +2459,6 @@ impl Runtime {
     /// keep their dense representation (like base R, where sparsity lives
     /// in a library the eager engines do not have).
     pub(crate) fn mat_to_sparse(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.mat_to_sparse_ungoverned(m))
-    }
-
-    fn mat_to_sparse_ungoverned(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
         match m {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.sparsify(*id)?)),
             other => {
@@ -2637,10 +2471,6 @@ impl Runtime {
     /// Convert a matrix value to the dense representation (`Densify` node
     /// under deferred engines; identity on the eager engines).
     pub(crate) fn mat_to_dense(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        self.governed(|rt| rt.mat_to_dense_ungoverned(m))
-    }
-
-    fn mat_to_dense_ungoverned(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
         match m {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.densify(*id)?)),
             other => {

@@ -381,7 +381,9 @@ fn plan_label(graph: &ExprGraph, id: NodeId) -> String {
         Node::Sparsify { .. } => "sparsify".to_string(),
         Node::Literal(v) => format!("literal n={}", v.len()),
         Node::Scalar(c) => format!("const {c}"),
-        Node::Range { start, len } => format!("range {start}..+{len}"),
+        Node::Range { start, len, step } => {
+            format!("range {start}..{}{len}", if *step < 0 { '-' } else { '+' })
+        }
         Node::Map { op, .. } => format!("map {}", op.name()),
         Node::Zip { op, .. } => format!("zip {}", op.name()),
         Node::IfElse { .. } => "ifelse".to_string(),

@@ -27,7 +27,6 @@ use std::time::Instant;
 
 use riot_array::MatrixLayout;
 use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits, StorageReport};
-use riot_trace::Metrics;
 
 use crate::exec::{ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, UnOp};
@@ -264,17 +263,15 @@ impl Session {
 
     /// R's `ifelse(cond, yes, no)` elementwise conditional.
     pub fn ifelse(&self, cond: &RVec, yes: &RVec, no: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .ifelse(&cond.repr, &yes.repr, &no.repr)?;
-        Ok(self.vec(repr))
+        self.query_vec(|rt| rt.ifelse(&cond.repr, &yes.repr, &no.repr))
     }
 
     /// Bind a name to a vector — R's `name <- value`. Under MatNamed this
     /// is the materialization point; under Riot it is free.
     pub fn assign(&self, _name: &str, v: &RVec) -> ExecResult<RVec> {
-        self.rt.borrow_mut().assign(&v.repr)?;
+        if let (EngineKind::MatNamed, VecRepr::Node(id)) = (self.kind(), &v.repr) {
+            self.query(|rt| rt.force_vector_to_disk(*id))?;
+        }
         self.rt.borrow_mut().retain(&v.repr);
         Ok(RVec {
             sess: self.clone(),
@@ -330,7 +327,7 @@ impl Session {
     /// with the engine's own counters. If tracing was off before the call
     /// it is off again after; counted I/O is unaffected either way.
     pub fn profile<R>(&self, f: impl FnOnce() -> R) -> (R, QueryProfile) {
-        let (tracer, engine, was_enabled, io0, ops0, pool0) = {
+        let (tracer, engine, was_enabled, base) = {
             let rt = self.rt.borrow();
             let tracer = Arc::clone(rt.tracer());
             let was_enabled = tracer.is_enabled();
@@ -341,9 +338,7 @@ impl Session {
                 tracer,
                 rt.cfg.kind.label().to_string(),
                 was_enabled,
-                rt.io_snapshot(),
-                rt.cpu_ops(),
-                rt.pool_stats(),
+                rt.counters(),
             )
         };
         let dropped0 = tracer.dropped();
@@ -351,30 +346,10 @@ impl Session {
         let out = f();
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let events = tracer.drain();
-        let (io, flops, pool, threads) = {
-            let rt = self.rt.borrow();
-            (
-                rt.io_snapshot() - io0,
-                rt.cpu_ops() - ops0,
-                rt.pool_stats().delta(&pool0),
-                rt.cfg.threads.max(1) as u64,
-            )
-        };
+        let (total, pool) = self.rt.borrow().metrics_since(&base);
         if !was_enabled {
             tracer.disable();
         }
-        let total = Metrics {
-            reads: io.reads,
-            writes: io.writes,
-            seq_reads: io.seq_reads,
-            seq_writes: io.seq_writes,
-            bytes_read: io.bytes_read,
-            bytes_written: io.bytes_written,
-            flops,
-            threads,
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-        };
         let profile = QueryProfile::assemble(
             engine,
             events,
@@ -422,6 +397,24 @@ impl Session {
         }
     }
 
+    /// Run `f` as one governed query ([`Runtime::governed`]): the single
+    /// seam through which every operation that can compute or force
+    /// reaches the runtime. Loads, `sample`, `literal` and `range` stay
+    /// outside it.
+    fn query<T>(&self, f: impl FnOnce(&mut Runtime) -> ExecResult<T>) -> ExecResult<T> {
+        self.rt.borrow_mut().governed(f)
+    }
+
+    /// [`Session::query`] for an operation producing a vector.
+    fn query_vec(&self, f: impl FnOnce(&mut Runtime) -> ExecResult<VecRepr>) -> ExecResult<RVec> {
+        self.query(f).map(|repr| self.vec(repr))
+    }
+
+    /// [`Session::query`] for an operation producing a matrix.
+    fn query_mat(&self, f: impl FnOnce(&mut Runtime) -> ExecResult<MatRepr>) -> ExecResult<RMat> {
+        self.query(f).map(|repr| self.mat(repr))
+    }
+
     fn vec(&self, repr: VecRepr) -> RVec {
         RVec {
             sess: self.clone(),
@@ -442,8 +435,7 @@ impl Session {
     }
 
     fn try_binop(&self, op: BinOp, l: &RVec, r: &RVec) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().binop(op, &l.repr, &r.repr)?;
-        Ok(self.vec(repr))
+        self.query_vec(|rt| rt.binop(op, &l.repr, &r.repr))
     }
 
     fn binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> RVec {
@@ -452,11 +444,7 @@ impl Session {
     }
 
     fn try_binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> ExecResult<RVec> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .binop_scalar(op, &l.repr, s, scalar_left)?;
-        Ok(self.vec(repr))
+        self.query_vec(|rt| rt.binop_scalar(op, &l.repr, s, scalar_left))
     }
 
     fn unop(&self, op: UnOp, x: &RVec) -> RVec {
@@ -465,8 +453,7 @@ impl Session {
     }
 
     fn try_unop(&self, op: UnOp, x: &RVec) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().unop(op, &x.repr)?;
-        Ok(self.vec(repr))
+        self.query_vec(|rt| rt.unop(op, &x.repr))
     }
 }
 
@@ -628,8 +615,7 @@ impl RVec {
 
     /// [`index`](Self::index), error surfaced.
     pub fn try_index(&self, idx: &RVec) -> ExecResult<RVec> {
-        let repr = self.sess.rt.borrow_mut().gather(&self.repr, &idx.repr)?;
-        Ok(self.sess.vec(repr))
+        self.sess.query_vec(|rt| rt.gather(&self.repr, &idx.repr))
     }
 
     /// Masked update returning the new state: `x[mask] <- value`.
@@ -640,12 +626,8 @@ impl RVec {
 
     /// [`mask_assign`](Self::mask_assign), error surfaced.
     pub fn try_mask_assign(&self, mask: &RVec, value: f64) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .mask_assign_scalar(&self.repr, &mask.repr, value)?;
-        Ok(self.sess.vec(repr))
+        self.sess
+            .query_vec(|rt| rt.mask_assign_scalar(&self.repr, &mask.repr, value))
     }
 
     /// Masked update with a vector replacement: `x[mask] <- values`.
@@ -656,12 +638,8 @@ impl RVec {
 
     /// [`mask_assign_vec`](Self::mask_assign_vec), error surfaced.
     pub fn try_mask_assign_vec(&self, mask: &RVec, values: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .mask_assign(&self.repr, &mask.repr, &values.repr)?;
-        Ok(self.sess.vec(repr))
+        self.sess
+            .query_vec(|rt| rt.mask_assign(&self.repr, &mask.repr, &values.repr))
     }
 
     /// Indexed functional update: `x[idx] <- values` (1-based indices;
@@ -673,37 +651,33 @@ impl RVec {
 
     /// [`sub_assign`](Self::sub_assign), error surfaced.
     pub fn try_sub_assign(&self, idx: &RVec, values: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .sub_assign(&self.repr, &idx.repr, &values.repr)?;
-        Ok(self.sess.vec(repr))
+        self.sess
+            .query_vec(|rt| rt.sub_assign(&self.repr, &idx.repr, &values.repr))
     }
 
     /// `sum(x)` — a forcing point.
     pub fn sum(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Sum, &self.repr)
+        self.sess.query(|rt| rt.aggregate(AggOp::Sum, &self.repr))
     }
 
     /// `mean(x)` — a forcing point.
     pub fn mean(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Mean, &self.repr)
+        self.sess.query(|rt| rt.aggregate(AggOp::Mean, &self.repr))
     }
 
     /// `min(x)` — a forcing point.
     pub fn min(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Min, &self.repr)
+        self.sess.query(|rt| rt.aggregate(AggOp::Min, &self.repr))
     }
 
     /// `max(x)` — a forcing point.
     pub fn max(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Max, &self.repr)
+        self.sess.query(|rt| rt.aggregate(AggOp::Max, &self.repr))
     }
 
     /// Force evaluation and return all elements — R's `print`.
     pub fn collect(&self) -> ExecResult<Vec<f64>> {
-        self.sess.rt.borrow_mut().collect(&self.repr)
+        self.sess.query(|rt| rt.collect(&self.repr))
     }
 
     /// EXPLAIN this vector's deferred plan — sugar for
@@ -757,8 +731,7 @@ impl RMat {
     /// [`t`](Self::t), error surfaced — what interpreters use so
     /// eager-engine governance aborts stay typed errors.
     pub fn try_t(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().transpose(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess.query_mat(|rt| rt.transpose(&self.repr))
     }
 
     /// `a %*% b`.
@@ -769,15 +742,14 @@ impl RMat {
 
     /// [`matmul`](Self::matmul), error surfaced.
     pub fn try_matmul(&self, rhs: &RMat) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().matmul(&self.repr, &rhs.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess.query_mat(|rt| rt.matmul(&self.repr, &rhs.repr))
     }
 
     /// Number of stored non-zeros — `nnz(m)`. For a deferred sparse
     /// source this reads the catalog statistic without touching storage;
     /// anything else is a forcing point that streams the value's tiles.
     pub fn nnz(&self) -> ExecResult<u64> {
-        self.sess.rt.borrow_mut().mat_nnz(&self.repr)
+        self.sess.query(|rt| rt.mat_nnz(&self.repr))
     }
 
     /// Cholesky factorization — `chol(a)`: the lower-triangular `L` with
@@ -785,15 +757,14 @@ impl RMat {
     /// that are not positive definite surface a typed error at the forcing
     /// point, never silent NaNs.
     pub fn chol(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_chol(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess.query_mat(|rt| rt.mat_chol(&self.repr))
     }
 
     /// Linear solve — `solve(a, b)` for symmetric positive definite `a`.
     /// Always factorization-backed: no engine materializes an inverse.
     pub fn solve(&self, rhs: &RMat) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_solve(&self.repr, &rhs.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess
+            .query_mat(|rt| rt.mat_solve(&self.repr, &rhs.repr))
     }
 
     /// Convert to the block-compressed sparse representation —
@@ -801,19 +772,17 @@ impl RMat {
     /// keep their dense storage (sparsity is a library concept there,
     /// exactly as in base R).
     pub fn to_sparse(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_to_sparse(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess.query_mat(|rt| rt.mat_to_sparse(&self.repr))
     }
 
     /// Convert to the dense representation — `as.dense(m)`.
     pub fn to_dense(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_to_dense(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.sess.query_mat(|rt| rt.mat_to_dense(&self.repr))
     }
 
     /// Force evaluation: `(rows, cols, row-major data)`.
     pub fn collect(&self) -> ExecResult<(usize, usize, Vec<f64>)> {
-        self.sess.rt.borrow_mut().collect_matrix(&self.repr)
+        self.sess.query(|rt| rt.collect_matrix(&self.repr))
     }
 
     /// EXPLAIN this matrix's deferred plan — sugar for

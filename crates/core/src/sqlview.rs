@@ -102,10 +102,14 @@ fn select_with_bindings(
             }
         }
         Node::Scalar(v) => format!("SELECT 1 AS I, {v} AS V"),
-        Node::Range { start, len } => format!(
-            "SELECT I, I + {} AS V FROM GENERATE_SERIES(1, {len}) AS G(I)",
-            start - 1
-        ),
+        Node::Range { start, len, step } => {
+            let value = if *step < 0 {
+                format!("{} - I", start + 1)
+            } else {
+                format!("I + {}", start - 1)
+            };
+            format!("SELECT I, {value} AS V FROM GENERATE_SERIES(1, {len}) AS G(I)")
+        }
         Node::Map { op, input } => {
             let t = namer.fresh("TMP");
             let inner = select_with_bindings(g, *input, namer, bound);

@@ -597,6 +597,11 @@ impl Interpreter {
             }
             "seq_len" => {
                 let n = self.as_scalar(self.arg1(&positional, name)?)? as i64;
+                if n < 1 {
+                    return Err(RError::Runtime(
+                        "seq_len(n) needs n >= 1 (empty vectors are unsupported)".to_string(),
+                    ));
+                }
                 let v = self.session.range(1, n)?;
                 Ok(RValue::Vector { v, logical: false })
             }
@@ -629,6 +634,12 @@ impl Interpreter {
                     .unwrap_or(6.0) as i64;
                 match self.arg1(&positional, name)? {
                     RValue::Vector { v, logical } => {
+                        if k < 1 {
+                            return Err(RError::Runtime(
+                                "head(x, n) needs n >= 1 (empty vectors are unsupported)"
+                                    .to_string(),
+                            ));
+                        }
                         let idx = self.session.range(1, k.min(v.len() as i64))?;
                         Ok(RValue::Vector {
                             v: v.try_index(&idx)?,
@@ -1046,6 +1057,46 @@ mod tests {
     fn vector_pipeline() {
         assert_eq!(run("x <- 1:10\nprint(sum(x^2))").trim(), "[1] 385");
         assert_eq!(run("print(mean(1:9))").trim(), "[1] 5");
+    }
+
+    #[test]
+    fn descending_ranges_match_on_every_engine() {
+        let src = "\
+print(1:0)
+x <- 5:2
+print(x)
+print(sum(x))
+print(x[c(1, 4)])
+print((10:1)[3:1])
+total <- 0
+for (i in 3:1) {
+  total <- total * 10 + i
+}
+print(total)";
+        let mut outs = Vec::new();
+        for kind in EngineKind::all() {
+            let mut i = Interpreter::new(EngineConfig::new(kind));
+            outs.push(i.run(src).unwrap_or_else(|e| panic!("{kind:?}: {e}")));
+        }
+        for w in outs.windows(2) {
+            assert_eq!(w[0], w[1]);
+        }
+        assert_eq!(
+            outs[0],
+            "[1] 1 0\n[1] 5 4 3 2\n[1] 14\n[1] 5 2\n[1] 8 9 10\n[1] 321\n"
+        );
+        // An empty sequence is refused, not counted down from 1 to 0.
+        for kind in EngineKind::all() {
+            let mut i = Interpreter::new(EngineConfig::new(kind));
+            assert!(
+                matches!(i.run("seq_len(0)"), Err(RError::Runtime(_))),
+                "{kind:?}"
+            );
+            assert!(
+                matches!(i.run("head(1:3, 0)"), Err(RError::Runtime(_))),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -345,7 +345,9 @@ impl QueryGovernor {
         let dl = self.deadline_at_ms.load(Ordering::Relaxed);
         if dl != UNLIMITED {
             let now = self.t0.elapsed().as_millis() as u64;
-            if now > dl {
+            // Inclusive: a zero deadline trips at the first checkpoint
+            // even when the query runs within one clock millisecond.
+            if now >= dl {
                 return Err(StorageError::BudgetExceeded {
                     resource: "deadline",
                     used: now - self.begin_ms.load(Ordering::Relaxed),

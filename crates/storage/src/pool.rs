@@ -1882,11 +1882,6 @@ impl PinnedFrameMut<'_> {
         self.block
     }
 
-    /// The page as mutable `f64` elements.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        self
-    }
-
     /// The page as mutable raw bytes (byte-oriented compatibility callers).
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         // SAFETY: the exclusive pin gives sole access; all bit patterns are

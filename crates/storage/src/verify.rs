@@ -74,7 +74,7 @@ pub struct VerifyingDevice<D: BlockDevice> {
     /// Checksum slots per checksum block (`block_size / 8`).
     slots: u64,
     stats: Arc<IoStats>,
-    corruptions: Arc<AtomicU64>,
+    corruptions: AtomicU64,
     tracer: Arc<Tracer>,
     state: Mutex<VerifyInner>,
 }
@@ -101,7 +101,7 @@ impl<D: BlockDevice> VerifyingDevice<D> {
             inner,
             slots,
             stats: IoStats::new_shared(),
-            corruptions: Arc::new(AtomicU64::new(0)),
+            corruptions: AtomicU64::new(0),
             tracer: Arc::new(Tracer::new()),
             state: Mutex::new(VerifyInner {
                 logical_len,
@@ -122,11 +122,6 @@ impl<D: BlockDevice> VerifyingDevice<D> {
     /// The wrapped device.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// Checksum mismatches detected so far (shareable observer handle).
-    pub fn corruption_count(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.corruptions)
     }
 
     /// Checksum mismatches detected so far.

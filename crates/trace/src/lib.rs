@@ -367,15 +367,6 @@ impl Tracer {
         self.enabled.store(false, Ordering::Release);
     }
 
-    /// Set the recording flag (see [`Tracer::enable`] / [`Tracer::disable`]).
-    pub fn set_enabled(&self, on: bool) {
-        if on {
-            self.enable();
-        } else {
-            self.disable();
-        }
-    }
-
     /// Whether recording is on. This is the whole cost of the disabled
     /// path: one `Relaxed` load.
     #[inline]

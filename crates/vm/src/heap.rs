@@ -113,14 +113,6 @@ impl PagedHeap {
         }
     }
 
-    /// Heap with default page size and a cap of `frames` pages.
-    pub fn with_frames(frames: usize) -> Self {
-        PagedHeap::new(VmConfig {
-            frames,
-            ..VmConfig::default()
-        })
-    }
-
     /// Page size in elements.
     pub fn page_elems(&self) -> usize {
         self.cfg.page_elems
