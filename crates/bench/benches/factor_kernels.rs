@@ -1,6 +1,7 @@
 //! Out-of-core factorization kernels: tiled Cholesky and the blocked
 //! triangular solve, wall-clock and counted I/O at memory ratios below 1
-//! (`BENCH_pr8.json` at the repo root).
+//! (rows print to stdout; the checked-in `BENCH_pr8.json` records an
+//! earlier run).
 //!
 //! As with the multiplication benches, wall time here reflects CPU work
 //! plus simulated-pool overhead; the durable figures are the I/O counts
@@ -171,8 +172,8 @@ fn prefetch_report(n: usize, latency: Duration) {
     );
 }
 
-/// The PR-8 perf artifact: sequential vs parallel tiled Cholesky + solve
-/// at 512 x 512 with a 0.19 memory ratio, written to `BENCH_pr8.json`.
+/// Sequential vs parallel tiled Cholesky + solve at 512 x 512 with a 0.19
+/// memory ratio.
 fn factor_report() {
     let n = 512;
     let mem_elems = 3 * 128 * 128; // p = 128: 3p^2 / n^2 ≈ 0.19
@@ -196,14 +197,6 @@ fn factor_report() {
         "parallel factor diverged from sequential"
     );
     assert!(identical_io, "parallel I/O diverged from sequential");
-
-    let json = format!(
-        "{{\n  \"bench\": \"factor_kernels\",\n  \"n\": {n},\n  \"block_size\": 8192,\n  \"mem_elems\": {mem_elems},\n  \"memory_ratio\": {:.4},\n  \"cores_available\": {cores},\n  \"threads\": {threads},\n  \"seq_chol_secs\": {sc:.6},\n  \"seq_solve_secs\": {ss:.6},\n  \"par_chol_secs\": {pc:.6},\n  \"par_solve_secs\": {ps:.6},\n  \"speedup\": {speedup:.4},\n  \"seq_io\": {{ \"reads\": {seq_reads}, \"writes\": {seq_writes} }},\n  \"par_io\": {{ \"reads\": {par_reads}, \"writes\": {par_writes} }},\n  \"identical_results\": {identical_results},\n  \"identical_io\": {identical_io}\n}}\n",
-        (3.0 * 128.0 * 128.0) / (n * n) as f64
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json");
-    std::fs::write(path, &json).expect("write BENCH_pr8.json");
-    println!("  wrote {path}");
 }
 
 criterion_group!(
@@ -216,8 +209,7 @@ fn main() {
     if test_mode() {
         // CI's bench smoke leg: seconds-scale shapes through the same code
         // paths and parity assertions; criterion sampling and the 512-size
-        // artifact (which would overwrite BENCH_pr8.json with toy numbers)
-        // are skipped.
+        // report are skipped.
         let (sc, ss, reads, writes, seq_l, seq_x) = timed_factor(96, 3 * 32 * 32, 1);
         let (pc, ps, preads, pwrites, par_l, par_x) = timed_factor(96, 3 * 32 * 32, 2);
         assert_eq!(seq_l, par_l, "test-mode parallel factor diverged");

@@ -1,6 +1,6 @@
 //! The three out-of-core multiplication kernels, wall-clock and I/O, plus
-//! the sequential-vs-parallel tiled comparison that seeds the perf
-//! trajectory (`BENCH_pr1.json` at the repo root).
+//! the sequential-vs-parallel tiled comparison (rows print to stdout; the
+//! checked-in `BENCH_pr1.json` records an earlier run).
 //!
 //! Wall time here reflects CPU-side work plus simulated-pool overhead;
 //! the figure that matters for the paper is the *I/O count* printed at
@@ -190,8 +190,7 @@ fn prefetch_report(n: usize, latency: Duration) {
     );
 }
 
-/// The PR-1 perf artifact: sequential vs rayon-style parallel tiled matmul
-/// at 1024 x 1024, written to `BENCH_pr1.json` at the repository root.
+/// Sequential vs rayon-style parallel tiled matmul at 1024 x 1024.
 fn parallel_report() {
     let n = 1024;
     let mem_elems = 3 * 256 * 256; // sequential p = 256 (8x8 tiles of 32x32)
@@ -213,23 +212,15 @@ fn parallel_report() {
         "parallel result diverged from sequential"
     );
     assert!(identical_io, "parallel I/O diverged from sequential");
-
-    let json = format!(
-        "{{\n  \"bench\": \"matmul_tiled_parallel\",\n  \"n\": {n},\n  \"block_size\": 8192,\n  \"mem_elems\": {mem_elems},\n  \"cores_available\": {cores},\n  \"threads\": {threads},\n  \"seq_secs\": {seq_secs:.6},\n  \"par_secs\": {par_secs:.6},\n  \"speedup\": {speedup:.4},\n  \"seq_io\": {{ \"reads\": {seq_reads}, \"writes\": {seq_writes} }},\n  \"par_io\": {{ \"reads\": {par_reads}, \"writes\": {par_writes} }},\n  \"identical_results\": {identical_results},\n  \"identical_io\": {identical_io}\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr1.json");
-    std::fs::write(path, &json).expect("write BENCH_pr1.json");
-    println!("  wrote {path}");
 }
 
-/// PR-7 artifact row: the same dense-matmul pipeline through `Session`,
+/// Tracing overhead: the same dense-matmul pipeline through `Session`,
 /// untraced vs inside `Session::profile` (spans, ring recording, event
 /// drain all live). In `--test-mode` the <5% wall-clock gate is asserted.
 fn trace_overhead_report(tm: bool) {
     use riot_core::{EngineConfig, EngineKind, Session};
     let n = if tm { 96 } else { 192 };
     let row = riot_bench::measure_trace_overhead(
-        "matmul_kernels",
         "session dense matmul + transpose (RIOT-DB)",
         if tm { 7 } else { 5 },
         || Session::new(EngineConfig::new(EngineKind::Riot)),
@@ -256,7 +247,6 @@ fn trace_overhead_report(tm: bool) {
     if tm {
         row.assert_within_5pct();
     }
-    riot_bench::write_trace_overhead_rows(&[row]);
 }
 
 criterion_group!(
@@ -269,8 +259,7 @@ fn main() {
     if test_mode() {
         // CI's bench smoke leg: a seconds-scale run through the same code
         // paths and parity assertions — criterion sampling and the
-        // 1024-size artifact (which would overwrite BENCH_pr1.json with
-        // toy numbers) are skipped.
+        // 1024-size report are skipped.
         let (secs, reads, writes, seq) = timed_tiled(128, 3 * 32 * 32, 1);
         let (psecs, preads, pwrites, par) = timed_tiled(128, 3 * 32 * 32, 2);
         assert_eq!(seq, par, "test-mode parallel result diverged");

@@ -2,8 +2,8 @@
 //! SpMV, two-pass SpMM (spilled plan), native transpose, and dense x
 //! sparse — plus the tiled-matmul scaling point, the 1/2/4-thread
 //! **parallel sparse kernel** rows, and the **prefetch on/off**
-//! comparison over a latency-injected device; results land in
-//! `BENCH_pr5.json` at the repository root (superseding `BENCH_pr4.json`).
+//! comparison over a latency-injected device. Rows print to stdout; the
+//! checked-in `BENCH_pr5.json` records an earlier run.
 //!
 //! The headline figures: the I/O ratio (every sparse kernel touches only
 //! occupied pages, so its block reads track `1 - (1-d)^B` of the dense
@@ -14,7 +14,6 @@
 //! Pass `--test-mode` for a seconds-scale smoke run (CI's bench leg):
 //! shrunken shapes, single density, same code paths and assertions.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -47,7 +46,6 @@ fn random_triplets(n: usize, density: f64, seed: u64) -> Vec<(usize, usize, f64)
 }
 
 struct SpmvRow {
-    density: f64,
     occupied: u64,
     dense_blocks: u64,
     sparse_reads: u64,
@@ -84,7 +82,6 @@ fn bench_spmv(n: usize, density: f64) -> SpmvRow {
     assert!(s.iter().zip(&d).all(|(a, b)| (a - b).abs() < 1e-6));
 
     SpmvRow {
-        density,
         occupied: a.occupied_pages(),
         dense_blocks: a.dense_blocks(),
         sparse_reads,
@@ -95,7 +92,6 @@ fn bench_spmv(n: usize, density: f64) -> SpmvRow {
 }
 
 struct SpmmRow {
-    density: f64,
     out_nnz: u64,
     out_pages: u64,
     secs: f64,
@@ -132,7 +128,6 @@ fn bench_spmm(n: usize, density: f64) -> SpmmRow {
     ctx.pool().flush_all().unwrap();
     let delta = ctx.io_snapshot() - before;
     SpmmRow {
-        density,
         out_nnz: t.nnz(),
         out_pages: t.occupied_pages(),
         secs,
@@ -142,7 +137,6 @@ fn bench_spmm(n: usize, density: f64) -> SpmmRow {
 }
 
 struct TransposeRow {
-    density: f64,
     occupied: u64,
     dense_blocks: u64,
     sparse_reads: u64,
@@ -173,7 +167,6 @@ fn bench_transpose(n: usize, density: f64) -> TransposeRow {
     // dense footprint both ways (decompress, transpose, recompress).
     let dense_io = 4 * a.dense_blocks();
     TransposeRow {
-        density,
         occupied: a.occupied_pages(),
         dense_blocks: a.dense_blocks(),
         sparse_reads: delta.reads,
@@ -184,7 +177,6 @@ fn bench_transpose(n: usize, density: f64) -> TransposeRow {
 }
 
 struct DmspmRow {
-    density: f64,
     /// Total blocks (reads + flushed writes) the native kernel touched.
     sparse_io: u64,
     /// Total blocks of the densify-then-dense-multiply path, including
@@ -244,7 +236,6 @@ fn bench_dmspm(n: usize, density: f64) -> DmspmRow {
     assert!(s.iter().zip(&d).all(|(a, b)| (a - b).abs() < 1e-6));
 
     DmspmRow {
-        density,
         sparse_io,
         dense_io,
         sparse_secs,
@@ -281,17 +272,11 @@ fn timed_tiled(n: usize, threads: usize) -> (f64, u64, u64) {
     (secs, delta.reads, delta.writes)
 }
 
-struct SparseThreadRow {
-    kernel: &'static str,
-    threads: usize,
-    secs: f64,
-}
-
 /// The parallel sparse kernel family at 1/2/4 threads over a striped
 /// in-memory pool: asserts bit-identical results and identical counted
 /// I/O at every thread count, records wall seconds (meaningful speedups
 /// need real cores; the parity assertions hold everywhere).
-fn bench_sparse_threads(n: usize) -> Vec<SparseThreadRow> {
+fn bench_sparse_threads(n: usize) {
     let trips_a = random_triplets(n, 0.05, 21);
     let trips_b = random_triplets(n, 0.05, 22);
     type Runner<'a> = Box<dyn Fn(usize) -> (Vec<f64>, u64, u64, f64) + 'a>;
@@ -394,15 +379,9 @@ fn bench_sparse_threads(n: usize) -> Vec<SparseThreadRow> {
             }),
         ),
     ];
-    let mut rows = Vec::new();
     for (name, run) in runners {
         let (seq, r0, w0, s1) = run(1);
         println!("  {name}: 1 thread {s1:.4}s ({r0} reads / {w0} writes)");
-        rows.push(SparseThreadRow {
-            kernel: name,
-            threads: 1,
-            secs: s1,
-        });
         for threads in [2, 4] {
             let (par, r, w, s) = run(threads);
             assert_eq!(par, seq, "{name}@{threads}: result diverged");
@@ -411,29 +390,15 @@ fn bench_sparse_threads(n: usize) -> Vec<SparseThreadRow> {
                 "  {name}: {threads} threads {s:.4}s ({:.2}x), identical result + I/O",
                 s1 / s
             );
-            rows.push(SparseThreadRow {
-                kernel: name,
-                threads,
-                secs: s,
-            });
         }
     }
-    rows
-}
-
-struct PrefetchRow {
-    kernel: &'static str,
-    prefetch: bool,
-    secs: f64,
-    reads: u64,
-    prefetch_issued: u64,
 }
 
 /// Prefetch on/off over a device with injected per-read latency: counted
 /// I/O must be bit-for-bit identical; wall clock shows the overlap win
 /// (latency sleeps overlap even on a 1-core box, so this figure is
 /// meaningful on CI too).
-fn bench_prefetch(n: usize, latency: Duration) -> Vec<PrefetchRow> {
+fn bench_prefetch(n: usize, latency: Duration) {
     let mk_ctx = |depth: usize| {
         let dev = FailpointDevice::new(Box::new(riot_storage::MemBlockDevice::new(8192)));
         dev.handle().set_read_latency(latency);
@@ -447,7 +412,6 @@ fn bench_prefetch(n: usize, latency: Duration) -> Vec<PrefetchRow> {
             },
         ))
     };
-    let mut rows = Vec::new();
 
     let run_spmv = |depth: usize| {
         let ctx = mk_ctx(depth);
@@ -481,20 +445,6 @@ fn bench_prefetch(n: usize, latency: Duration) -> Vec<PrefetchRow> {
     assert_eq!(d_off, d_on, "prefetch changed the spmv result");
     assert_eq!(r_off, r_on, "prefetch changed spmv read totals");
     println!("  spmv: off {s_off:.4}s, on {s_on:.4}s ({:.2}x), identical {r_off} reads, {issued} prefetched", s_off / s_on);
-    rows.push(PrefetchRow {
-        kernel: "spmv",
-        prefetch: false,
-        secs: s_off,
-        reads: r_off,
-        prefetch_issued: 0,
-    });
-    rows.push(PrefetchRow {
-        kernel: "spmv",
-        prefetch: true,
-        secs: s_on,
-        reads: r_on,
-        prefetch_issued: issued,
-    });
 
     let run_tiled = |depth: usize| {
         let ctx = mk_ctx(depth);
@@ -535,24 +485,9 @@ fn bench_prefetch(n: usize, latency: Duration) -> Vec<PrefetchRow> {
     assert_eq!(d_off, d_on, "prefetch changed the matmul result");
     assert_eq!(r_off, r_on, "prefetch changed matmul read totals");
     println!("  matmul_tiled: off {s_off:.4}s, on {s_on:.4}s ({:.2}x), identical {r_off} reads, {issued} prefetched", s_off / s_on);
-    rows.push(PrefetchRow {
-        kernel: "matmul_tiled",
-        prefetch: false,
-        secs: s_off,
-        reads: r_off,
-        prefetch_issued: 0,
-    });
-    rows.push(PrefetchRow {
-        kernel: "matmul_tiled",
-        prefetch: true,
-        secs: s_on,
-        reads: r_on,
-        prefetch_issued: issued,
-    });
-    rows
 }
 
-/// PR-7 artifact row: the sparse kernel family (spmm + sptranspose +
+/// Tracing overhead: the sparse kernel family (spmm + sptranspose +
 /// spmdm) through `Session`, untraced vs inside `Session::profile`. In
 /// `--test-mode` the <5% wall-clock gate is asserted.
 fn trace_overhead_report(tm: bool) {
@@ -569,7 +504,6 @@ fn trace_overhead_report(tm: bool) {
         })
         .collect();
     let row = riot_bench::measure_trace_overhead(
-        "sparse_kernels",
         "session spmm + sptranspose + spmdm (RIOT-DB)",
         if tm { 7 } else { 5 },
         || Session::new(EngineConfig::new(EngineKind::Riot)),
@@ -595,7 +529,6 @@ fn trace_overhead_report(tm: bool) {
     if tm {
         row.assert_within_5pct();
     }
-    riot_bench::write_trace_overhead_rows(&[row]);
 }
 
 fn main() {
@@ -603,7 +536,6 @@ fn main() {
     let n = if tm { 128 } else { 1024 };
     let densities: &[f64] = if tm { &[0.01] } else { &[0.001, 0.01, 0.1] };
     println!("SpMV {n}x{n}, sparse vs dense (cold cache):");
-    let mut spmv_rows = Vec::new();
     for &density in densities {
         let row = bench_spmv(n, density);
         println!(
@@ -615,23 +547,19 @@ fn main() {
             row.dense_reads,
             row.dense_secs
         );
-        spmv_rows.push(row);
     }
 
     let nm = if tm { 64 } else { 512 };
     println!("\nSpMM {nm}x{nm} (two passes, pass two replays the spilled plan; cold cache):");
-    let mut spmm_rows = Vec::new();
     for &density in densities {
         let row = bench_spmm(nm, density);
         println!(
             "  d={density}: {} nnz out in {} pages, {} reads / {} writes, {:.4}s",
             row.out_nnz, row.out_pages, row.reads, row.writes, row.secs
         );
-        spmm_rows.push(row);
     }
 
     println!("\nnative transpose {n}x{n} (cold cache) vs densify-transpose-recompress cost:");
-    let mut transpose_rows = Vec::new();
     for &density in densities {
         let row = bench_transpose(n, density);
         println!(
@@ -643,28 +571,23 @@ fn main() {
             row.sparse_secs,
             row.dense_io
         );
-        transpose_rows.push(row);
     }
 
     let nd = if tm { 64 } else { 512 };
     println!("\ndense x sparse {nd}x{nd}: dmspm vs densified fallback (cold cache):");
-    let mut dmspm_rows = Vec::new();
     for &density in densities {
         let row = bench_dmspm(nd, density);
         println!(
             "  d={density}: dmspm {} blocks ({:.4}s) vs densify+dense {} blocks ({:.4}s)",
             row.sparse_io, row.sparse_secs, row.dense_io, row.dense_secs
         );
-        dmspm_rows.push(row);
     }
 
     // Thread-scaling curve for the tiled matmul (ROADMAP open item).
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let nt = if tm { 128 } else { 512 };
     println!("\ntiled matmul {nt}x{nt} thread scaling (cores available: {cores}):");
-    let mut scaling = Vec::new();
     let (seq_secs, seq_reads, seq_writes) = timed_tiled(nt, 1);
-    scaling.push((1usize, seq_secs));
     println!("  1 thread: {seq_secs:.4}s, {seq_reads} reads / {seq_writes} writes");
     for &threads in if tm { &[2][..] } else { &[2, 4, 8][..] } {
         let (secs, reads, writes) = timed_tiled(nt, threads);
@@ -673,140 +596,19 @@ fn main() {
             "  {threads} threads: {secs:.4}s ({:.2}x), identical I/O",
             seq_secs / secs
         );
-        scaling.push((threads, secs));
     }
 
     // PR-5: the parallel sparse kernel family at 1/2/4 threads (parity
     // asserted, seconds recorded).
     let ns = if tm { 96 } else { 512 };
     println!("\nparallel sparse kernels {ns}x{ns} at 1/2/4 threads:");
-    let thread_rows = bench_sparse_threads(ns);
+    bench_sparse_threads(ns);
 
     // PR-5: prefetch on/off over a latency-injected device.
     let np = if tm { 96 } else { 512 };
     let latency = Duration::from_micros(if tm { 150 } else { 400 });
     println!("\nplan-driven prefetch {np}x{np} (injected read latency {latency:?}):");
-    let prefetch_rows = bench_prefetch(np, latency);
-
-    // Emit the PR-5 artifact (supersedes BENCH_pr4.json, which recorded
-    // the same kernel shapes before the parallel sparse kernels and the
-    // plan-driven prefetcher existed).
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"sparse_kernels\",\n");
-    let _ = writeln!(
-        json,
-        "  \"n_spmv\": {n}, \"n_spmm\": {nm}, \"n_transpose\": {n}, \
-         \"n_dmspm\": {nd}, \"n_matmul\": {nt},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"block_size\": 8192, \"cores_available\": {cores},"
-    );
-    json.push_str("  \"spmv\": [\n");
-    for (i, r) in spmv_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"density\": {}, \"occupied_pages\": {}, \"dense_blocks\": {}, \
-             \"sparse_reads\": {}, \"dense_reads\": {}, \"sparse_secs\": {:.6}, \
-             \"dense_secs\": {:.6} }}{}",
-            r.density,
-            r.occupied,
-            r.dense_blocks,
-            r.sparse_reads,
-            r.dense_reads,
-            r.sparse_secs,
-            r.dense_secs,
-            if i + 1 < spmv_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"spmm\": [\n");
-    for (i, r) in spmm_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"density\": {}, \"out_nnz\": {}, \"out_pages\": {}, \"reads\": {}, \
-             \"writes\": {}, \"secs\": {:.6} }}{}",
-            r.density,
-            r.out_nnz,
-            r.out_pages,
-            r.reads,
-            r.writes,
-            r.secs,
-            if i + 1 < spmm_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"transpose\": [\n");
-    for (i, r) in transpose_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"density\": {}, \"occupied_pages\": {}, \"dense_blocks\": {}, \
-             \"sparse_reads\": {}, \"sparse_writes\": {}, \"densify_path_blocks\": {}, \
-             \"sparse_secs\": {:.6} }}{}",
-            r.density,
-            r.occupied,
-            r.dense_blocks,
-            r.sparse_reads,
-            r.sparse_writes,
-            r.dense_io,
-            r.sparse_secs,
-            if i + 1 < transpose_rows.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    json.push_str("  ],\n  \"dmspm\": [\n");
-    for (i, r) in dmspm_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"density\": {}, \"dmspm_io_blocks\": {}, \
-             \"densify_fallback_io_blocks\": {}, \
-             \"dmspm_secs\": {:.6}, \"densify_fallback_secs\": {:.6} }}{}",
-            r.density,
-            r.sparse_io,
-            r.dense_io,
-            r.sparse_secs,
-            r.dense_secs,
-            if i + 1 < dmspm_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"matmul_thread_scaling\": [\n");
-    for (i, (threads, secs)) in scaling.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"threads\": {threads}, \"secs\": {secs:.6} }}{}",
-            if i + 1 < scaling.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"sparse_thread_scaling\": [\n");
-    for (i, r) in thread_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"kernel\": \"{}\", \"threads\": {}, \"secs\": {:.6} }}{}",
-            r.kernel,
-            r.threads,
-            r.secs,
-            if i + 1 < thread_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"prefetch\": [\n");
-    for (i, r) in prefetch_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"kernel\": \"{}\", \"prefetch\": {}, \"secs\": {:.6}, \"reads\": {}, \
-             \"prefetch_issued\": {} }}{}",
-            r.kernel,
-            r.prefetch,
-            r.secs,
-            r.reads,
-            r.prefetch_issued,
-            if i + 1 < prefetch_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr5.json");
-    std::fs::write(path, &json).expect("write BENCH_pr5.json");
-    println!("\nwrote {path}");
+    bench_prefetch(np, latency);
 
     trace_overhead_report(tm);
 }

@@ -74,8 +74,6 @@ pub fn run_example1(kind: EngineKind, n: usize, mem_blocks: usize) -> Example1Ru
 /// clocks so scheduler noise cancels out of both sides.
 #[derive(Debug, Clone)]
 pub struct TraceOverhead {
-    /// Which bench binary measured it (`BENCH_pr7.json` merge key).
-    pub source: &'static str,
     /// Human label for the workload.
     pub workload: &'static str,
     /// Best untraced wall seconds.
@@ -114,7 +112,6 @@ impl TraceOverhead {
 /// `mk` each repetition (fresh sessions keep the two sides' catalog and
 /// cache state identical).
 pub fn measure_trace_overhead(
-    source: &'static str,
     workload: &'static str,
     reps: usize,
     mk: impl Fn() -> Session,
@@ -148,52 +145,12 @@ pub fn measure_trace_overhead(
         }
     }
     TraceOverhead {
-        source,
         workload,
         disabled_secs,
         enabled_secs,
         spans,
         events,
     }
-}
-
-/// Merge `rows` into `BENCH_pr7.json` at the repository root. Each row is
-/// one line keyed by `source`, so the two bench binaries can each rewrite
-/// their own rows without clobbering the other's.
-pub fn write_trace_overhead_rows(rows: &[TraceOverhead]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr7.json");
-    let source = rows.first().map(|r| r.source).unwrap_or_default();
-    let mut kept: Vec<String> = std::fs::read_to_string(path)
-        .unwrap_or_default()
-        .lines()
-        .filter(|l| {
-            l.trim_start().starts_with("{ \"source\"")
-                && !l.contains(&format!("\"source\": \"{source}\""))
-        })
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect();
-    for r in rows {
-        kept.push(format!(
-            "    {{ \"source\": \"{}\", \"workload\": \"{}\", \"disabled_secs\": {:.6}, \
-             \"enabled_secs\": {:.6}, \"overhead_ratio\": {:.4}, \"spans\": {}, \
-             \"events\": {} }}",
-            r.source,
-            r.workload,
-            r.disabled_secs,
-            r.enabled_secs,
-            r.ratio(),
-            r.spans,
-            r.events
-        ));
-    }
-    kept.sort();
-    let json = format!(
-        "{{\n  \"bench\": \"tracing_overhead\",\n  \"cores_available\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        corpus::cores_available(),
-        kept.join(",\n")
-    );
-    std::fs::write(path, json).expect("write BENCH_pr7.json");
-    println!("  wrote {path}");
 }
 
 #[cfg(test)]
@@ -210,7 +167,6 @@ mod tests {
     #[test]
     fn trace_overhead_measures_and_reconciles() {
         let row = measure_trace_overhead(
-            "unit",
             "elementwise",
             2,
             || Session::new(EngineConfig::new(EngineKind::Riot)),

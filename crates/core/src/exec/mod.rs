@@ -8,6 +8,12 @@
 //! elementwise expression — Line (1) of Example 1 with its twelve
 //! intermediates — runs in a single pass over its inputs with O(chunk)
 //! memory.
+//!
+//! Every operator and kernel charges its scalar operations to the storage
+//! context's flop ledger (`QueryGovernor::add_flops`) as it does them —
+//! per chunk or per tile — and nowhere else, so a flop budget can stop a
+//! kernel partway. The flop counts the kernels also return are that same
+//! work, for callers that measure one kernel alone.
 
 pub mod factor;
 pub mod matmul;

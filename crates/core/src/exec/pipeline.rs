@@ -68,12 +68,7 @@ pub struct GovernedPipe {
 impl Pipe for GovernedPipe {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         self.gov.checkpoint(self.at)?;
-        let n = self.inner.next_into(out)?;
-        // One flop per element produced is a floor, not an exact count:
-        // the wrapped tree may apply several operators per element. The
-        // floor is enough for flop budgets to bind on drain-only queries.
-        self.gov.add_flops(n as u64);
-        Ok(n)
+        self.inner.next_into(out)
     }
 
     fn total_len(&self) -> usize {
@@ -339,7 +334,8 @@ pub struct MapPipe {
 }
 
 impl MapPipe {
-    /// Apply `op` to each element of `input`; `ops` counts scalar work.
+    /// Apply `op` to each element of `input`; `ops` is the flop ledger
+    /// ([`riot_storage::QueryGovernor::flop_ledger`]) it charges per chunk.
     pub fn new(op: UnOp, input: Box<dyn Pipe>, ops: Arc<AtomicU64>) -> Self {
         MapPipe { op, input, ops }
     }

@@ -126,15 +126,7 @@ impl ExprGraph {
 
     /// Binary elementwise op with R recycling.
     pub fn zip(&mut self, op: BinOp, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        if !ls.broadcasts_with(&rs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ls,
-                rhs: rs,
-                op: op.name(),
-            });
-        }
-        let shape = ls.broadcast(&rs);
+        let shape = self.shape(lhs).zip(&self.shape(rhs), op.name())?;
         Ok(self.intern(Node::Zip { op, lhs, rhs }, shape))
     }
 

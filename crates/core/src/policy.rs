@@ -15,7 +15,6 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -242,7 +241,6 @@ pub struct Runtime {
     pub(crate) materialized: HashMap<NodeId, DenseVector>,
     pub(crate) mat_materialized: HashMap<NodeId, DenseMatrix>,
     pub(crate) sparse_materialized: HashMap<NodeId, SparseMatrix>,
-    pub(crate) cpu_ops: Arc<AtomicU64>,
     pub(crate) last_opt_stats: RewriteStats,
     rng: StdRng,
 }
@@ -298,7 +296,6 @@ impl Runtime {
             materialized: HashMap::new(),
             mat_materialized: HashMap::new(),
             sparse_materialized: HashMap::new(),
-            cpu_ops: Arc::new(AtomicU64::new(0)),
             last_opt_stats: RewriteStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
         }
@@ -321,31 +318,19 @@ impl Runtime {
 
     /// Combined I/O across the buffer pool and the paging heap.
     pub fn io_snapshot(&self) -> IoSnapshot {
-        let pool = self.ctx.io_snapshot();
-        let vm = self.heap.io_stats().snapshot();
-        IoSnapshot {
-            reads: pool.reads + vm.reads,
-            writes: pool.writes + vm.writes,
-            seq_reads: pool.seq_reads + vm.seq_reads,
-            seq_writes: pool.seq_writes + vm.seq_writes,
-            bytes_read: pool.bytes_read + vm.bytes_read,
-            bytes_written: pool.bytes_written + vm.bytes_written,
-            syncs: pool.syncs + vm.syncs,
-        }
+        self.ctx.io_snapshot() + self.heap.io_stats().snapshot()
     }
 
-    /// Scalar operations performed so far.
+    /// Scalar operations performed so far: the flop ledger every kernel
+    /// charges through [`riot_storage::QueryGovernor::add_flops`], which the flop
+    /// budget is checked against too.
     pub fn cpu_ops(&self) -> u64 {
-        self.cpu_ops.load(Ordering::Relaxed)
+        self.ctx.governor().flops()
     }
 
     /// Modeled execution time per Figure 1(b)'s I/O-dominated accounting.
     pub fn modeled_seconds(&self, model: &DiskModel) -> f64 {
         model.modeled_seconds(&self.io_snapshot(), self.cpu_ops())
-    }
-
-    fn count_ops(&self, n: usize) {
-        self.cpu_ops.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     // ================= tracing =================
@@ -360,13 +345,6 @@ impl Runtime {
     /// prefetch traffic) for the session's pool.
     pub fn pool_stats(&self) -> PoolStats {
         self.ctx.pool().pool_stats()
-    }
-
-    /// One-call folded storage counters: counted I/O plus pool counters
-    /// (retry/corruption counters fold in at the layer that stacked those
-    /// wrappers; the default in-memory device has none).
-    pub fn storage_report(&self) -> riot_storage::StorageReport {
-        self.ctx.storage_report()
     }
 
     /// EXPLAIN for a deferred node: under Riot the optimizer runs first —
@@ -890,17 +868,17 @@ impl Runtime {
         }
     }
 
-    /// Elementwise binary op between two vector values (R recycling).
+    /// Elementwise binary op between two vector values (R recycling). Every
+    /// engine refuses operands [`Shape::zip`] rejects, the eager ones before
+    /// they compute anything.
     pub(crate) fn binop(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
+        if let (VecRepr::Node(l), VecRepr::Node(r)) = (lhs, rhs) {
+            return Ok(VecRepr::Node(self.graph.zip(op, *l, *r)?));
+        }
+        Shape::Vector(self.vec_len(lhs)).zip(&Shape::Vector(self.vec_len(rhs)), op.name())?;
         match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(l), VecRepr::Node(r)) = (lhs, rhs) else {
-                    unreachable!("deferred engines hold nodes");
-                };
-                Ok(VecRepr::Node(self.graph.zip(op, *l, *r)?))
-            }
             EngineKind::PlainR => self.plainr_binop(op, lhs, rhs),
-            EngineKind::Strawman => self.strawman_binop(op, lhs, rhs),
+            _ => self.strawman_binop(op, lhs, rhs),
         }
     }
 
@@ -994,7 +972,6 @@ impl Runtime {
                     self.heap.write_chunk(dst, at, &buf[..take]);
                     at += take;
                 }
-                self.count_ops(n);
                 Ok(VecRepr::Vm(dst))
             }
             EngineKind::Strawman => {
@@ -1018,7 +995,6 @@ impl Runtime {
                     at += take;
                 }
                 out.flush()?;
-                self.count_ops(n);
                 Ok(VecRepr::Table(Rc::new(StrawTable {
                     owned: true,
                     vec: out,
@@ -1066,7 +1042,6 @@ impl Runtime {
             self.heap.write_chunk(dst, at, &ob[..take]);
             at += take;
         }
-        self.count_ops(n);
         Ok(VecRepr::Vm(dst))
     }
 
@@ -1106,7 +1081,6 @@ impl Runtime {
             at += take;
         }
         out.flush()?;
-        self.count_ops(n);
         Ok(VecRepr::Table(Rc::new(StrawTable {
             owned: true,
             vec: out,
@@ -1140,7 +1114,7 @@ impl Runtime {
                     let v = self.heap.get(d, raw as usize - 1);
                     self.heap.set(dst, t, v);
                 }
-                self.count_ops(k);
+                self.ctx.governor().add_flops(k as u64);
                 Ok(VecRepr::Vm(dst))
             }
             EngineKind::Strawman => {
@@ -1159,7 +1133,7 @@ impl Runtime {
                     }
                     out.set(t, dt.vec.get(raw as usize - 1)?)?;
                 }
-                self.count_ops(k);
+                self.ctx.governor().add_flops(k as u64);
                 Ok(VecRepr::Table(Rc::new(StrawTable {
                     owned: true,
                     vec: out,
@@ -1238,7 +1212,7 @@ impl Runtime {
                     };
                     self.heap.set(dst, i, v);
                 }
-                self.count_ops(n);
+                self.ctx.governor().add_flops(n as u64);
                 Ok(VecRepr::Vm(dst))
             }
             EngineKind::Strawman => {
@@ -1266,7 +1240,7 @@ impl Runtime {
                     at += take;
                 }
                 out.flush()?;
-                self.count_ops(n);
+                self.ctx.governor().add_flops(n as u64);
                 Ok(VecRepr::Table(Rc::new(StrawTable {
                     owned: true,
                     vec: out,
@@ -1347,7 +1321,7 @@ impl Runtime {
                     let val = self.heap.get(v, t % vl);
                     self.heap.set(dst, raw as usize - 1, val);
                 }
-                self.count_ops(n + k);
+                self.ctx.governor().add_flops((n + k) as u64);
                 Ok(VecRepr::Vm(dst))
             }
             EngineKind::Strawman => {
@@ -1380,7 +1354,7 @@ impl Runtime {
                     out.set(raw as usize - 1, vt.vec.get(t % vl)?)?;
                 }
                 out.flush()?;
-                self.count_ops(n + k);
+                self.ctx.governor().add_flops((n + k) as u64);
                 Ok(VecRepr::Table(Rc::new(StrawTable {
                     owned: true,
                     vec: out,
@@ -1466,7 +1440,9 @@ impl Runtime {
                 let mut acc = op.init();
                 let mut at = 0;
                 while at < n {
+                    self.ctx.governor().checkpoint("plainr.agg.chunk")?;
                     let take = chunk.min(n - at);
+                    self.ctx.governor().add_flops(take as u64);
                     self.heap.read_chunk(id, at, &mut buf[..take]);
                     for &x in &buf[..take] {
                         acc = op.fold(acc, x);
@@ -1476,7 +1452,6 @@ impl Runtime {
                 if op == AggOp::Mean && n > 0 {
                     acc /= n as f64;
                 }
-                self.count_ops(n);
                 Ok(acc)
             }
             EngineKind::Strawman => {
@@ -1487,7 +1462,7 @@ impl Runtime {
                 let mut acc = op.init();
                 let mut at = 0;
                 while at < n {
-                    self.ctx.governor().checkpoint("strawman.unop.chunk")?;
+                    self.ctx.governor().checkpoint("strawman.agg.chunk")?;
                     let take = chunk.min(n - at);
                     self.ctx.governor().add_flops(take as u64);
                     t.vec.read_range(at, &mut buf[..take])?;
@@ -1499,7 +1474,6 @@ impl Runtime {
                 if op == AggOp::Mean && n > 0 {
                     acc /= n as f64;
                 }
-                self.count_ops(n);
                 Ok(acc)
             }
         }
@@ -1535,9 +1509,8 @@ impl Runtime {
     pub(crate) fn collect(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
         match (&self.cfg.kind, v) {
             (EngineKind::PlainR, VecRepr::Vm(id)) => {
-                let id = *id;
-                self.count_ops(self.heap.len(id));
-                Ok(self.heap.to_vec(id))
+                self.ctx.governor().add_flops(self.heap.len(*id) as u64);
+                Ok(self.heap.to_vec(*id))
             }
             (EngineKind::Strawman, VecRepr::Table(t)) => Ok(t.vec.to_vec()?),
             (kind, VecRepr::Node(id)) => {
@@ -1549,7 +1522,7 @@ impl Runtime {
                 }
                 self.force("collect", *id, |rt, root| {
                     let len = rt.graph.shape(root).len();
-                    rt.count_ops(len);
+                    rt.ctx.governor().add_flops(len as u64);
                     if let Some(out) = rt.try_parallel_collect(root, len)? {
                         return Ok(out);
                     }
@@ -1604,7 +1577,7 @@ impl Runtime {
     /// value at every thread count).
     fn aggregate_node(&mut self, op: AggOp, input: NodeId) -> ExecResult<f64> {
         let len = self.graph.shape(input).len();
-        self.count_ops(len);
+        self.ctx.governor().add_flops(len as u64);
         let epb = self.ctx.elems_per_block();
         let align = self.chunk().max(epb).div_ceil(epb) * epb;
         let part = 4 * align;
@@ -1808,6 +1781,7 @@ impl Runtime {
             return Ok(Box::new(VecScan::new(vec.clone(), self.chunk())));
         }
         let node = self.graph.node(id).clone();
+        let ops = self.ctx.governor().flop_ledger();
         Ok(match node {
             Node::VecSource { source, .. } => Box::new(VecScan::new(
                 self.vec_sources[&source.0].clone(),
@@ -1820,24 +1794,24 @@ impl Runtime {
             Node::Scalar(_) => unreachable!("handled above"),
             Node::Map { op, input } => {
                 let input = self.compile(input, out_len)?;
-                Box::new(MapPipe::new(op, input, Arc::clone(&self.cpu_ops)))
+                Box::new(MapPipe::new(op, input, ops))
             }
             Node::Zip { op, lhs, rhs } => {
                 let lhs = self.compile(lhs, out_len)?;
                 let rhs = self.compile(rhs, out_len)?;
-                Box::new(ZipPipe::new(op, lhs, rhs, Arc::clone(&self.cpu_ops)))
+                Box::new(ZipPipe::new(op, lhs, rhs, ops))
             }
             Node::IfElse { cond, yes, no } => {
                 let cond = self.compile(cond, out_len)?;
                 let yes = self.compile(yes, out_len)?;
                 let no = self.compile(no, out_len)?;
-                Box::new(IfElsePipe::new(cond, yes, no, Arc::clone(&self.cpu_ops)))
+                Box::new(IfElsePipe::new(cond, yes, no, ops))
             }
             Node::Gather { data, index } => {
                 let idx_len = self.graph.shape(index).len();
                 let index = self.compile(index, idx_len)?;
                 let probe = self.compile_probe(data)?;
-                Box::new(GatherPipe::new(index, probe, Arc::clone(&self.cpu_ops)))
+                Box::new(GatherPipe::new(index, probe, ops))
             }
             Node::SubAssign { data, index, value } => {
                 let vec = self.force_subassign(id, data, index, value)?;
@@ -1849,7 +1823,7 @@ impl Runtime {
                 let cond = self.compile(mask, out_len)?;
                 let yes = self.compile(value, out_len)?;
                 let no = self.compile(data, out_len)?;
-                Box::new(IfElsePipe::new(cond, yes, no, Arc::clone(&self.cpu_ops)))
+                Box::new(IfElsePipe::new(cond, yes, no, ops))
             }
             Node::MatMul { .. }
             | Node::Transpose { .. }
@@ -1879,13 +1853,13 @@ impl Runtime {
             Node::Agg { op, input } => self.aggregate_node(op, input),
             Node::Map { op, input } => {
                 let x = self.scalar_value(input)?;
-                self.count_ops(1);
+                self.ctx.governor().add_flops(1);
                 Ok(op.apply(x))
             }
             Node::Zip { op, lhs, rhs } => {
                 let a = self.scalar_value(lhs)?;
                 let b = self.scalar_value(rhs)?;
-                self.count_ops(1);
+                self.ctx.governor().add_flops(1);
                 Ok(op.apply(a, b))
             }
             Node::IfElse { cond, yes, no } => {
@@ -1959,7 +1933,7 @@ impl Runtime {
             }
             vec.set(i as usize - 1, vals[k])?;
         }
-        self.count_ops(len + idx.len());
+        self.ctx.governor().add_flops((len + idx.len()) as u64);
         self.materialized.insert(node_id, vec.clone());
         Ok(vec)
     }
@@ -2015,7 +1989,7 @@ impl Runtime {
                         self.heap.set(t, j * rows + i, v);
                     }
                 }
-                self.count_ops(rows * cols);
+                self.ctx.governor().add_flops((rows * cols) as u64);
                 Ok(MatRepr::Vm {
                     id: t,
                     rows: cols,
@@ -2078,7 +2052,6 @@ impl Runtime {
                     }
                     self.ctx.governor().add_flops((n1 * n2) as u64);
                 }
-                self.count_ops(n1 * n2 * n3);
                 Ok(MatRepr::Vm {
                     id: t,
                     rows: n1,
@@ -2089,8 +2062,7 @@ impl Runtime {
                 let (MatRepr::Stored(a), MatRepr::Stored(b)) = (lhs, rhs) else {
                     unreachable!()
                 };
-                let (t, flops) = matmul::matmul_naive(&a.mat, &b.mat, None)?;
-                self.count_ops(flops as usize);
+                let (t, _) = matmul::matmul_naive(&a.mat, &b.mat, None)?;
                 Ok(MatRepr::Stored(Rc::new(StrawMat {
                     owned: true,
                     mat: t,
@@ -2122,7 +2094,6 @@ impl Runtime {
                 self.ctx.governor().checkpoint("plainr.chol")?;
                 let mut a = self.heap.to_vec(id);
                 dense_chol_inplace(&mut a, rows)?;
-                self.count_ops(rows * rows * rows / 3 + rows * rows);
                 self.ctx
                     .governor()
                     .add_flops((rows * rows * rows / 3 + rows * rows) as u64);
@@ -2134,8 +2105,7 @@ impl Runtime {
                 let MatRepr::Stored(sm) = m else {
                     unreachable!()
                 };
-                let (l, flops) = factor::chol_tiled(&sm.mat, self.mem_elems(), None)?;
-                self.count_ops(flops as usize);
+                let (l, _) = factor::chol_tiled(&sm.mat, self.mem_elems(), None)?;
                 Ok(MatRepr::Stored(Rc::new(StrawMat {
                     owned: true,
                     mat: l,
@@ -2188,7 +2158,6 @@ impl Runtime {
                 dense_chol_inplace(&mut l, n)?;
                 let mut x = self.heap.to_vec(ib);
                 dense_cholesky_substitute(&l, &mut x, n, m);
-                self.count_ops(n * n * n / 3 + 2 * n * n * m);
                 self.ctx
                     .governor()
                     .add_flops((n * n * n / 3 + 2 * n * n * m) as u64);
@@ -2204,9 +2173,7 @@ impl Runtime {
                 let (MatRepr::Stored(sa), MatRepr::Stored(sb)) = (a, b) else {
                     unreachable!()
                 };
-                let (x, flops) =
-                    factor::cholesky_solve(&sa.mat, &sb.mat, self.mem_elems(), 1, None)?;
-                self.count_ops(flops as usize);
+                let (x, _) = factor::cholesky_solve(&sa.mat, &sb.mat, self.mem_elems(), 1, None)?;
                 Ok(MatRepr::Stored(Rc::new(StrawMat {
                     owned: true,
                     mat: x,
@@ -2290,11 +2257,7 @@ impl Runtime {
                     MatValue::Sparse(s) => self.span(
                         "sptranspose",
                         |_| format!("{} nnz={}", dims(s.shape()), s.nnz()),
-                        |rt| {
-                            let (t, moved) = spkernel::sptranspose(&s, None)?;
-                            rt.count_ops(moved as usize);
-                            Ok(MatValue::Sparse(t))
-                        },
+                        |_| Ok(MatValue::Sparse(spkernel::sptranspose(&s, None)?.0)),
                     )?,
                     MatValue::Dense(d) => self.span(
                         "transpose",
@@ -2313,9 +2276,8 @@ impl Runtime {
                     |_| dims(a.shape()),
                     |rt| {
                         let threads = rt.cfg.threads.max(1);
-                        let (l, flops) =
+                        let (l, _) =
                             factor::chol_tiled_parallel(&a, rt.mem_elems(), threads, None)?;
-                        rt.count_ops(flops as usize);
                         Ok(MatValue::Dense(l))
                     },
                 )?
@@ -2331,9 +2293,7 @@ impl Runtime {
                     },
                     |rt| {
                         let threads = rt.cfg.threads.max(1);
-                        let (x, flops) =
-                            factor::cholesky_solve(&a, &b, rt.mem_elems(), threads, None)?;
-                        rt.count_ops(flops as usize);
+                        let (x, _) = factor::cholesky_solve(&a, &b, rt.mem_elems(), threads, None)?;
                         Ok(MatValue::Dense(x))
                     },
                 )?
@@ -2378,36 +2338,31 @@ impl Runtime {
             (MatValue::Sparse(a), MatValue::Sparse(b)) => {
                 let (atr, atc) = a.tile_dims();
                 if (atr, atc) == b.tile_dims() && atr == atc {
-                    self.span("spmm", detail, |rt| {
-                        let (t, flops) = spkernel::spmm_parallel(a, b, threads, None)?;
-                        rt.count_ops(flops as usize);
+                    self.span("spmm", detail, |_| {
+                        let (t, _) = spkernel::spmm_parallel(a, b, threads, None)?;
                         Ok(MatValue::Sparse(t))
                     })
                 } else {
                     // Mismatched tilings: fall back to the sparse x dense
                     // kernel on a densified right side.
-                    self.span("spmdm", detail, |rt| {
+                    self.span("spmdm", detail, |_| {
                         let bd = b.to_dense(TileOrder::RowMajor, None)?;
-                        let (t, flops) = spkernel::spmdm_parallel(a, &bd, threads, None)?;
-                        rt.count_ops(flops as usize);
+                        let (t, _) = spkernel::spmdm_parallel(a, &bd, threads, None)?;
                         Ok(MatValue::Dense(t))
                     })
                 }
             }
-            (MatValue::Sparse(a), MatValue::Dense(b)) => self.span("spmdm", detail, |rt| {
-                let (t, flops) = spkernel::spmdm_parallel(a, b, threads, None)?;
-                rt.count_ops(flops as usize);
+            (MatValue::Sparse(a), MatValue::Dense(b)) => self.span("spmdm", detail, |_| {
+                let (t, _) = spkernel::spmdm_parallel(a, b, threads, None)?;
                 Ok(MatValue::Dense(t))
             }),
-            (MatValue::Dense(a), MatValue::Sparse(b)) => self.span("dmspm", detail, |rt| {
-                let (t, flops) = spkernel::dmspm_parallel(a, b, threads, None)?;
-                rt.count_ops(flops as usize);
+            (MatValue::Dense(a), MatValue::Sparse(b)) => self.span("dmspm", detail, |_| {
+                let (t, _) = spkernel::dmspm_parallel(a, b, threads, None)?;
                 Ok(MatValue::Dense(t))
             }),
             (MatValue::Dense(a), MatValue::Dense(b)) => self.span("matmul", detail, |rt| {
                 let kernel = rt.cfg.matmul_kernel;
-                let (t, flops) = matmul::multiply(kernel, a, b, rt.mem_elems(), None)?;
-                rt.count_ops(flops as usize);
+                let (t, _) = matmul::multiply(kernel, a, b, rt.mem_elems(), None)?;
                 Ok(MatValue::Dense(t))
             }),
         }
@@ -2429,7 +2384,7 @@ impl Runtime {
                         MatValue::Sparse(s) => Ok(s.nnz()),
                         MatValue::Dense(d) => {
                             let n = count_dense_nnz(&d)?;
-                            rt.count_ops(d.rows() * d.cols());
+                            rt.ctx.governor().add_flops((d.rows() * d.cols()) as u64);
                             Ok(n)
                         }
                     }
@@ -2443,12 +2398,14 @@ impl Runtime {
                         count += 1;
                     }
                 }
-                self.count_ops(n);
+                self.ctx.governor().add_flops(n as u64);
                 Ok(count)
             }
             MatRepr::Stored(sm) => {
                 let n = count_dense_nnz(&sm.mat)?;
-                self.count_ops(sm.mat.rows() * sm.mat.cols());
+                self.ctx
+                    .governor()
+                    .add_flops((sm.mat.rows() * sm.mat.cols()) as u64);
                 Ok(n)
             }
         }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use riot_array::MatrixLayout;
-use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits, StorageReport};
+use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits};
 
 use crate::exec::{ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, UnOp};
@@ -310,12 +310,6 @@ impl Session {
         self.rt.borrow().pool_stats()
     }
 
-    /// Folded storage counters so far: counted I/O plus pool counters
-    /// (see [`StorageReport`]).
-    pub fn storage_report(&self) -> StorageReport {
-        self.rt.borrow().storage_report()
-    }
-
     /// Profile one region of this session: tracing turns on, `f` runs,
     /// and everything observed — the span tree of forcing points and
     /// kernels, the counted-I/O / flop / pool-counter deltas, every typed
@@ -429,27 +423,12 @@ impl Session {
         }
     }
 
-    fn binop(&self, op: BinOp, l: &RVec, r: &RVec) -> RVec {
-        self.try_binop(op, l, r)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
-    }
-
     fn try_binop(&self, op: BinOp, l: &RVec, r: &RVec) -> ExecResult<RVec> {
         self.query_vec(|rt| rt.binop(op, &l.repr, &r.repr))
     }
 
-    fn binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> RVec {
-        self.try_binop_scalar(op, l, s, scalar_left)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
-    }
-
     fn try_binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> ExecResult<RVec> {
         self.query_vec(|rt| rt.binop_scalar(op, &l.repr, s, scalar_left))
-    }
-
-    fn unop(&self, op: UnOp, x: &RVec) -> RVec {
-        self.try_unop(op, x)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
     }
 
     fn try_unop(&self, op: UnOp, x: &RVec) -> ExecResult<RVec> {
@@ -501,7 +480,7 @@ impl RVec {
     /// Generic elementwise binary op against another vector (the full
     /// [`BinOp`] surface; the arithmetic operators below are sugar).
     pub fn binary(&self, op: BinOp, other: &RVec) -> RVec {
-        self.sess.binop(op, self, other)
+        or_panic(self.try_binary(op, other))
     }
 
     /// [`binary`](Self::binary) with the error surfaced instead of a
@@ -514,7 +493,7 @@ impl RVec {
     /// Generic elementwise binary op against a scalar. `scalar_left`
     /// selects `c ∘ x` rather than `x ∘ c`.
     pub fn binary_scalar(&self, op: BinOp, c: f64, scalar_left: bool) -> RVec {
-        self.sess.binop_scalar(op, self, c, scalar_left)
+        or_panic(self.try_binary_scalar(op, c, scalar_left))
     }
 
     /// [`binary_scalar`](Self::binary_scalar), error surfaced.
@@ -524,7 +503,7 @@ impl RVec {
 
     /// Generic elementwise unary op.
     pub fn unary(&self, op: UnOp) -> RVec {
-        self.sess.unop(op, self)
+        or_panic(self.try_unary(op))
     }
 
     /// [`unary`](Self::unary), error surfaced.
@@ -534,77 +513,77 @@ impl RVec {
 
     /// `sqrt(x)`.
     pub fn sqrt(&self) -> RVec {
-        self.sess.unop(UnOp::Sqrt, self)
+        or_panic(self.try_unary(UnOp::Sqrt))
     }
 
     /// `abs(x)`.
     pub fn abs(&self) -> RVec {
-        self.sess.unop(UnOp::Abs, self)
+        or_panic(self.try_unary(UnOp::Abs))
     }
 
     /// `exp(x)`.
     pub fn exp(&self) -> RVec {
-        self.sess.unop(UnOp::Exp, self)
+        or_panic(self.try_unary(UnOp::Exp))
     }
 
     /// `log(x)` (natural).
     pub fn ln(&self) -> RVec {
-        self.sess.unop(UnOp::Ln, self)
+        or_panic(self.try_unary(UnOp::Ln))
     }
 
     /// `x^2`, as R programs spell it.
     pub fn square(&self) -> RVec {
-        self.sess.binop_scalar(BinOp::Pow, self, 2.0, false)
+        or_panic(self.try_binary_scalar(BinOp::Pow, 2.0, false))
     }
 
     /// `x^p`.
     pub fn pow(&self, p: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Pow, self, p, false)
+        or_panic(self.try_binary_scalar(BinOp::Pow, p, false))
     }
 
     /// Elementwise comparison against a scalar: `x > c` etc.
     pub fn gt(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Gt, self, c, false)
+        or_panic(self.try_binary_scalar(BinOp::Gt, c, false))
     }
 
     /// `x < c`.
     pub fn lt(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Lt, self, c, false)
+        or_panic(self.try_binary_scalar(BinOp::Lt, c, false))
     }
 
     /// `x >= c`.
     pub fn ge(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Ge, self, c, false)
+        or_panic(self.try_binary_scalar(BinOp::Ge, c, false))
     }
 
     /// `x <= c`.
     pub fn le(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Le, self, c, false)
+        or_panic(self.try_binary_scalar(BinOp::Le, c, false))
     }
 
     /// Logical negation: `!x` (0 becomes 1, nonzero becomes 0).
     pub fn not(&self) -> RVec {
-        self.sess.unop(UnOp::Not, self)
+        or_panic(self.try_unary(UnOp::Not))
     }
 
     /// Elementwise comparison against another vector.
     pub fn gt_vec(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Gt, self, other)
+        or_panic(self.try_binary(BinOp::Gt, other))
     }
 
     /// `x <= y` elementwise.
     pub fn le_vec(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Le, self, other)
+        or_panic(self.try_binary(BinOp::Le, other))
     }
 
     /// R's `pmin(x, y)`: elementwise minimum.
     pub fn pmin(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Min, self, other)
+        or_panic(self.try_binary(BinOp::Min, other))
     }
 
     /// R's `pmax(x, y)`: elementwise maximum.
     pub fn pmax(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Max, self, other)
+        or_panic(self.try_binary(BinOp::Max, other))
     }
 
     /// Subscript read: `x[idx]` (1-based indices).
@@ -804,35 +783,35 @@ macro_rules! vec_binops {
         impl std::ops::$trait<&RVec> for &RVec {
             type Output = RVec;
             fn $method(self, rhs: &RVec) -> RVec {
-                self.session().binop($op, self, rhs)
+                or_panic(self.try_binary($op, rhs))
             }
         }
 
         impl std::ops::$trait<f64> for &RVec {
             type Output = RVec;
             fn $method(self, rhs: f64) -> RVec {
-                self.session().binop_scalar($op, self, rhs, false)
+                or_panic(self.try_binary_scalar($op, rhs, false))
             }
         }
 
         impl std::ops::$trait<&RVec> for f64 {
             type Output = RVec;
             fn $method(self, rhs: &RVec) -> RVec {
-                rhs.session().binop_scalar($op, rhs, self, true)
+                or_panic(rhs.try_binary_scalar($op, self, true))
             }
         }
 
         impl std::ops::$trait<RVec> for RVec {
             type Output = RVec;
             fn $method(self, rhs: RVec) -> RVec {
-                self.session().binop($op, &self, &rhs)
+                or_panic(self.try_binary($op, &rhs))
             }
         }
 
         impl std::ops::$trait<f64> for RVec {
             type Output = RVec;
             fn $method(self, rhs: f64) -> RVec {
-                self.session().binop_scalar($op, &self, rhs, false)
+                or_panic(self.try_binary_scalar($op, rhs, false))
             }
         }
     };
@@ -846,8 +825,15 @@ vec_binops!(Div, div, BinOp::Div);
 impl std::ops::Neg for &RVec {
     type Output = RVec;
     fn neg(self) -> RVec {
-        self.session().unop(UnOp::Neg, self)
+        or_panic(self.try_unary(UnOp::Neg))
     }
+}
+
+/// Unwrap an elementwise vector operation for the panicking sugar: the
+/// `RVec` convenience methods and the arithmetic operators. The `try_`
+/// methods surface the same error instead.
+fn or_panic(r: ExecResult<RVec>) -> RVec {
+    r.unwrap_or_else(|e| panic!("vector operation failed: {e}"))
 }
 
 /// Shorthand for errors surfaced by sessions.

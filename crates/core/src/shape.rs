@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::expr::ExprError;
+
 /// The shape of a value flowing through the expression DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Shape {
@@ -43,6 +45,20 @@ impl Shape {
             (Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) => r1 == r2 && c1 == c2,
             _ => false,
         }
+    }
+
+    /// The shape `op` produces from `self` and `other` under
+    /// [`Shape::broadcasts_with`], or the typed mismatch every engine
+    /// reports for incompatible operands.
+    pub fn zip(&self, other: &Shape, op: &'static str) -> Result<Shape, ExprError> {
+        if !self.broadcasts_with(other) {
+            return Err(ExprError::ShapeMismatch {
+                lhs: *self,
+                rhs: *other,
+                op,
+            });
+        }
+        Ok(self.broadcast(other))
     }
 
     /// Resulting shape of an elementwise combination (caller must have

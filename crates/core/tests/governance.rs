@@ -139,6 +139,70 @@ fn flop_budget_trips_on_pipeline_drains() {
     assert_no_leaks(&s, &snap, "flop-budget abort");
 }
 
+/// `sum(sqrt(x) * 2 + 1)`: three elementwise operators and an aggregate.
+fn flop_query(x: &riot_core::RVec) -> Result<f64, ExecError> {
+    (x.try_unary(riot_core::UnOp::Sqrt)?
+        .try_binary_scalar(riot_core::BinOp::Mul, 2.0, false)?
+        .try_binary_scalar(riot_core::BinOp::Add, 1.0, false)?)
+    .sum()
+}
+
+#[test]
+fn flop_budget_checks_the_cpu_ops_ledger() {
+    let n = 30_000;
+    for kind in EngineKind::all() {
+        // The unbudgeted query's flops, as `cpu_ops` reports them.
+        let s = Session::new(tight(kind));
+        let x = s.vector_from_fn(n, |i| (i % 13) as f64).unwrap();
+        let ops0 = s.cpu_ops();
+        let want = flop_query(&x).unwrap();
+        let used = s.cpu_ops() - ops0;
+        assert!(used > n as u64, "{kind:?}: {used} flops");
+
+        // A budget of exactly that many flops is enough.
+        let s = Session::new(tight(kind));
+        let x = s.vector_from_fn(n, |i| (i % 13) as f64).unwrap();
+        s.set_limits(ResourceLimits::none().with_max_flops(used));
+        assert_eq!(flop_query(&x).unwrap(), want, "{kind:?}");
+        s.clear_limits();
+
+        // A deferred query is one forcing point, so a budget between n
+        // and the ledger's count trips it. (The eager engines run each
+        // operator as its own query of n flops.)
+        if matches!(kind, EngineKind::Riot | EngineKind::MatNamed) {
+            let s = Session::new(tight(kind));
+            let x = s.vector_from_fn(n, |i| (i % 13) as f64).unwrap();
+            let snap = leak_snapshot(&s);
+            let limit = (n as u64 + used) / 2;
+            s.set_limits(ResourceLimits::none().with_max_flops(limit));
+            match flop_query(&x) {
+                Err(ExecError::BudgetExceeded {
+                    resource: "flops",
+                    used: over,
+                    limit: l,
+                }) => assert!(l == limit && over > limit, "{kind:?}: {over} / {l}"),
+                other => panic!("{kind:?}: expected a flop budget abort, got {other:?}"),
+            }
+            s.clear_limits();
+            assert_no_leaks(&s, &snap, "flop-budget abort");
+        }
+    }
+}
+
+#[test]
+fn cancel_stops_a_plain_r_sum_between_chunks() {
+    let s = Session::with_limits(tight(EngineKind::PlainR), ResourceLimits::none());
+    let x = s.vector_from_fn(10_000, |i| i as f64).unwrap();
+    let gov = s.storage_ctx().governor().clone();
+    gov.set_cancel_at(gov.checkpoints_seen() + 3);
+    match x.sum() {
+        Err(ExecError::Cancelled { at }) => assert_eq!(at, "plainr.agg.chunk"),
+        other => panic!("expected a cancel inside sum(), got {other:?}"),
+    }
+    s.reset_cancel();
+    assert_eq!(x.sum().unwrap(), (0..10_000).sum::<usize>() as f64);
+}
+
 #[test]
 fn temp_block_budget_trips_on_scratch_allocation() {
     let s = Session::new(tight(EngineKind::Riot));

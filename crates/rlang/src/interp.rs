@@ -875,16 +875,16 @@ impl Interpreter {
     /// `riot.profile(expr)`: evaluate and force `expr` inside a profiled
     /// region, append the flat I/O profile to the script output, and return
     /// the value. `riot.profile()` with no argument prints the session's
-    /// cumulative pool and storage counters instead.
+    /// cumulative counted I/O (buffer pool plus paging heap) and pool
+    /// counters instead.
     fn profile_builtin(&mut self, args: &[(Option<String>, Expr)]) -> RResult<RValue> {
         if args.is_empty() {
             let text = format!(
-                "{}\n{}",
-                self.session.pool_stats(),
-                self.session.storage_report()
+                "io: {}\n{}\n",
+                self.session.io_snapshot(),
+                self.session.pool_stats()
             );
-            self.output.push_str(text.trim_end());
-            self.output.push('\n');
+            self.output.push_str(&text);
             return Ok(RValue::Null);
         }
         // A clone is a second handle onto the same runtime, so the closure
@@ -1422,8 +1422,49 @@ print(sum(nnz(p1) + nnz(p2) + nnz(p3) + nnz(p4)))";
     fn riot_profile_without_args_reports_session_counters() {
         let out = run("x <- 1:256\nprint(sum(x))\nriot.profile()");
         assert!(out.contains("[1] 32896"), "{out}");
-        // Cumulative pool + storage report, not a per-query profile.
+        // Cumulative I/O and pool counters, not a per-query profile.
         assert!(out.contains("hit"), "pool stats present:\n{out}");
+    }
+
+    #[test]
+    fn riot_profile_without_args_prints_session_io_once() {
+        // x spans 20 blocks against a 4-frame memory, so every engine
+        // reads blocks back, and Plain R pages through its heap rather
+        // than the buffer pool.
+        let src = "x <- runif(20000)\nprint(sum(sqrt(x) + 1) > 20000)\nriot.profile()";
+        for kind in EngineKind::all() {
+            let mut i = Interpreter::new(EngineConfig {
+                mem_blocks: 4,
+                ..EngineConfig::new(kind)
+            });
+            let io0 = i.session().io_snapshot();
+            let out = i.run(src).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            let io = i.session().io_snapshot() - io0;
+            assert!(io.reads > 0, "{kind:?}: the script must read blocks");
+            assert_eq!(out.matches("pool:").count(), 1, "{kind:?}:\n{out}");
+            let reads: Vec<u64> = out
+                .lines()
+                .filter_map(|l| l.strip_prefix("io: "))
+                .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+                .collect();
+            assert_eq!(reads, vec![io.reads], "{kind:?}:\n{out}");
+        }
+    }
+
+    #[test]
+    fn recycling_rule_is_the_same_on_every_engine() {
+        let ok = "print(c(1, 2) + c(10, 20, 30, 40))";
+        let bad = "print(c(1, 2) + c(1, 2, 3))";
+        for kind in EngineKind::all() {
+            assert_eq!(run_with(kind, ok), "[1] 11 22 31 42\n", "{kind:?}");
+            let mut i = Interpreter::new(EngineConfig::new(kind));
+            let err = i.run(bad).expect_err("lengths 2 and 3 do not recycle");
+            assert_eq!(
+                err.to_string(),
+                "execution error: expression: shape mismatch for '+': vec[2] vs vec[3]",
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

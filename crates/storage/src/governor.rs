@@ -27,6 +27,14 @@
 //! cheap cloneable handles to the governor's cancel flag — hand one to
 //! another thread and `cancel()` aborts the running query at its next
 //! checkpoint.
+//!
+//! The governor also keeps the context's **flop ledger**: every kernel
+//! charges its scalar operations once, through
+//! [`QueryGovernor::add_flops`] (or, for pipeline operators, the shared
+//! [`QueryGovernor::flop_ledger`]), engaged or not. Profiles, spans and the
+//! cost model read the same counter ([`QueryGovernor::flops`]) that the
+//! flop budget is measured against, so a budget trips on the number a
+//! profile prints.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,11 +159,14 @@ pub struct QueryGovernor {
     max_flops: AtomicU64,
     max_pinned: AtomicU64,
     max_temp: AtomicU64,
-    /// Counted-I/O baselines captured at `begin`.
+    /// Counted-I/O and flop baselines captured at `begin`.
     base_reads: AtomicU64,
     base_writes: AtomicU64,
-    /// Per-query usage accumulators.
-    flops: AtomicU64,
+    base_flops: AtomicU64,
+    /// The flop ledger: scalar operations charged so far (monotonic),
+    /// shared with the pipeline operators that charge it per chunk.
+    flops: Arc<AtomicU64>,
+    /// Per-query temp-block accumulator.
     temp_blocks: AtomicU64,
     /// Monotonic count of governed checkpoints (never reset by `begin`,
     /// so a cancel sweep can target the k-th checkpoint of a workload
@@ -185,7 +196,8 @@ impl QueryGovernor {
             max_temp: AtomicU64::new(UNLIMITED),
             base_reads: AtomicU64::new(0),
             base_writes: AtomicU64::new(0),
-            flops: AtomicU64::new(0),
+            base_flops: AtomicU64::new(0),
+            flops: Arc::new(AtomicU64::new(0)),
             temp_blocks: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             cancel_at: AtomicU64::new(UNLIMITED),
@@ -277,13 +289,13 @@ impl QueryGovernor {
         self.cancel_at.store(UNLIMITED, Ordering::Relaxed);
     }
 
-    /// Open a query bracket: capture counted-I/O baselines, zero the
-    /// per-query accumulators, and arm the deadline.
+    /// Open a query bracket: capture counted-I/O and flop baselines, zero
+    /// the temp-block accumulator, and arm the deadline.
     pub fn begin(&self) {
         let snap = self.io.snapshot();
         self.base_reads.store(snap.reads, Ordering::Relaxed);
         self.base_writes.store(snap.writes, Ordering::Relaxed);
-        self.flops.store(0, Ordering::Relaxed);
+        self.base_flops.store(self.flops(), Ordering::Relaxed);
         self.temp_blocks.store(0, Ordering::Relaxed);
         let now = self.t0.elapsed().as_millis() as u64;
         self.begin_ms.store(now, Ordering::Relaxed);
@@ -378,7 +390,7 @@ impl QueryGovernor {
         }
         let max_f = self.max_flops.load(Ordering::Relaxed);
         if max_f != UNLIMITED {
-            let used = self.flops.load(Ordering::Relaxed);
+            let used = self.flops() - self.base_flops.load(Ordering::Relaxed);
             if used > max_f {
                 return Err(StorageError::BudgetExceeded {
                     resource: "flops",
@@ -390,13 +402,23 @@ impl QueryGovernor {
         Ok(())
     }
 
-    /// Record `n` scalar operations against the flop budget (checked at
-    /// the next checkpoint). Free when ungoverned.
+    /// Charge `n` scalar operations to the flop ledger, engaged or not;
+    /// the flop budget checks the ledger at the next checkpoint.
     #[inline]
     pub fn add_flops(&self, n: u64) {
-        if self.engaged.load(Ordering::Relaxed) {
-            self.flops.fetch_add(n, Ordering::Relaxed);
-        }
+        self.flops.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Scalar operations charged so far (monotonic, never reset).
+    pub fn flops(&self) -> u64 {
+        self.flops.load(Ordering::Relaxed)
+    }
+
+    /// The flop ledger itself, for the pipeline operators that charge it
+    /// once per chunk (the same counter [`QueryGovernor::add_flops`]
+    /// charges).
+    pub fn flop_ledger(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.flops)
     }
 
     /// Charge `blocks` of temporary allocation against the temp budget,
@@ -488,6 +510,7 @@ mod tests {
     fn flop_budget_trips_at_checkpoint() {
         let g = gov();
         g.engage(ResourceLimits::none().with_max_flops(100));
+        g.add_flops(1000); // before the bracket: not this query's
         g.begin();
         g.add_flops(60);
         g.checkpoint("x").unwrap();
@@ -500,6 +523,19 @@ mod tests {
             }) => {}
             other => panic!("expected flops budget, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn flop_ledger_counts_whether_engaged_or_not() {
+        let g = gov();
+        g.add_flops(7);
+        g.engage(ResourceLimits::none());
+        g.begin();
+        g.add_flops(5);
+        g.end();
+        g.disengage();
+        g.add_flops(1);
+        assert_eq!(g.flops(), 13);
     }
 
     #[test]

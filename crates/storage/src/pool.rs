@@ -745,16 +745,6 @@ impl BufferPool {
         &self.core.tracer
     }
 
-    /// One-call snapshot of everything this pool can observe: counted I/O
-    /// plus cache-effectiveness counters. Retry/corruption counters live in
-    /// the device wrappers (the pool sees them type-erased), so callers
-    /// that stacked those fold them in via
-    /// [`crate::StorageReport::with_retries`] /
-    /// [`crate::StorageReport::with_corruptions`].
-    pub fn storage_report(&self) -> crate::StorageReport {
-        crate::StorageReport::new(self.io_stats().snapshot(), self.pool_stats())
-    }
-
     /// Gauges of device I/O currently outstanding on the pool's behalf
     /// (plus all-time concurrency high-water marks).
     pub fn in_flight(&self) -> &InFlight {
