@@ -132,39 +132,16 @@ impl ExprGraph {
 
     /// Elementwise conditional select.
     pub fn if_else(&mut self, cond: NodeId, yes: NodeId, no: NodeId) -> Result<NodeId, ExprError> {
-        let (cs, ys, ns) = (self.shape(cond), self.shape(yes), self.shape(no));
-        if !cs.broadcasts_with(&ys) || !cs.broadcasts_with(&ns) || !ys.broadcasts_with(&ns) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ys,
-                rhs: ns,
-                op: "ifelse",
-            });
-        }
-        let shape = cs.broadcast(&ys).broadcast(&ns);
+        let shape = self
+            .shape(cond)
+            .if_else(&self.shape(yes), &self.shape(no))?;
         Ok(self.intern(Node::IfElse { cond, yes, no }, shape))
     }
 
     /// Subscript read `data[index]`.
     pub fn gather(&mut self, data: NodeId, index: NodeId) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        let is = self.shape(index);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        let out_len = match is {
-            Shape::Vector(n) => n,
-            Shape::Scalar => 1,
-            other => {
-                return Err(ExprError::Expected {
-                    what: "index vector",
-                    got: other,
-                })
-            }
-        };
-        Ok(self.intern(Node::Gather { data, index }, Shape::Vector(out_len)))
+        let shape = self.shape(data).gather(&self.shape(index))?;
+        Ok(self.intern(Node::Gather { data, index }, shape))
     }
 
     /// Functional update `data[index] <- value`.
@@ -174,23 +151,10 @@ impl ExprGraph {
         index: NodeId,
         value: NodeId,
     ) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        let is = self.shape(index);
-        let vs = self.shape(value);
-        if !is.broadcasts_with(&vs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: is,
-                rhs: vs,
-                op: "[<-",
-            });
-        }
-        Ok(self.intern(Node::SubAssign { data, index, value }, ds))
+        let shape = self
+            .shape(data)
+            .sub_assign(&self.shape(index), &self.shape(value))?;
+        Ok(self.intern(Node::SubAssign { data, index, value }, shape))
     }
 
     /// Functional masked update `data[mask] <- value`.
@@ -200,88 +164,41 @@ impl ExprGraph {
         mask: NodeId,
         value: NodeId,
     ) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        let ms = self.shape(mask);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        if ds != ms && ms != Shape::Scalar {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ds,
-                rhs: ms,
-                op: "[mask<-",
-            });
-        }
-        let vs = self.shape(value);
-        if !ds.broadcasts_with(&vs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ds,
-                rhs: vs,
-                op: "[mask<-",
-            });
-        }
-        Ok(self.intern(Node::MaskAssign { data, mask, value }, ds))
+        let shape = self
+            .shape(data)
+            .mask_assign(&self.shape(mask), &self.shape(value))?;
+        Ok(self.intern(Node::MaskAssign { data, mask, value }, shape))
     }
 
     /// Matrix multiplication.
     pub fn matmul(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        match (ls, rs) {
-            (Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) if c1 == r2 => {
-                Ok(self.intern(Node::MatMul { lhs, rhs }, Shape::Matrix(r1, c2)))
-            }
-            _ => Err(ExprError::MatMulDims { lhs: ls, rhs: rs }),
-        }
+        let shape = self.shape(lhs).matmul(&self.shape(rhs))?;
+        Ok(self.intern(Node::MatMul { lhs, rhs }, shape))
     }
 
     /// Matrix transpose.
     pub fn transpose(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            Shape::Matrix(r, c) => Ok(self.intern(Node::Transpose { input }, Shape::Matrix(c, r))),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        let shape = self.shape(input).transpose()?;
+        Ok(self.intern(Node::Transpose { input }, shape))
     }
 
     /// Matrix transpose planned on the sparse kernel (the optimizer's
     /// below-threshold choice for sparse-valued inputs).
     pub fn sp_transpose(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            Shape::Matrix(r, c) => {
-                Ok(self.intern(Node::SpTranspose { input }, Shape::Matrix(c, r)))
-            }
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        let shape = self.shape(input).transpose()?;
+        Ok(self.intern(Node::SpTranspose { input }, shape))
     }
 
     /// Sparse-to-dense conversion of a matrix-valued node.
     pub fn densify(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(..) => Ok(self.intern(Node::Densify { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        let shape = self.shape(input).expect_matrix()?;
+        Ok(self.intern(Node::Densify { input }, shape))
     }
 
     /// Dense-to-sparse compression of a matrix-valued node.
     pub fn sparsify(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(..) => Ok(self.intern(Node::Sparsify { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        let shape = self.shape(input).expect_matrix()?;
+        Ok(self.intern(Node::Sparsify { input }, shape))
     }
 
     /// Scalar reduction.
@@ -289,35 +206,17 @@ impl ExprGraph {
         self.intern(Node::Agg { op, input }, Shape::Scalar)
     }
 
-    /// Cholesky factorization of a square matrix-valued node. The shape
-    /// check is structural (square, non-empty); positive definiteness is
-    /// a value property checked at execution time.
+    /// Cholesky factorization of a square matrix-valued node.
     pub fn chol(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(r, c) if r == c && r > 0 => Ok(self.intern(Node::Chol { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "non-empty square matrix",
-                got,
-            }),
-        }
+        let shape = self.shape(input).chol()?;
+        Ok(self.intern(Node::Chol { input }, shape))
     }
 
     /// Linear solve `solve(a, b)`: `a` square `n x n`, `b` an `n x m`
     /// right-hand side.
     pub fn solve(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        match (ls, rs) {
-            (Shape::Matrix(n1, n2), Shape::Matrix(r, m))
-                if n1 == n2 && n1 > 0 && r == n1 && m > 0 =>
-            {
-                Ok(self.intern(Node::Solve { lhs, rhs }, Shape::Matrix(n1, m)))
-            }
-            (Shape::Matrix(n1, n2), _) if n1 != n2 || n1 == 0 => Err(ExprError::Expected {
-                what: "non-empty square matrix",
-                got: ls,
-            }),
-            _ => Err(ExprError::MatMulDims { lhs: ls, rhs: rs }),
-        }
+        let shape = self.shape(lhs).solve(&self.shape(rhs))?;
+        Ok(self.intern(Node::Solve { lhs, rhs }, shape))
     }
 
     // ---- analysis ------------------------------------------------------

@@ -11,6 +11,16 @@
 //! The same program runs unmodified under each engine — the paper's
 //! transparency claim — and every engine reports I/O through the same
 //! counters, which is what the Figure 1 harness tabulates.
+//!
+//! Every operator checks its operands with the same [`Shape`] rule: the
+//! deferred engines when the graph builds the node, the eager ones before
+//! they compute. The two eager engines share one body per vector operator,
+//! written over a small store interface (`eager_alloc`, `eager_read`,
+//! `eager_write`, `eager_get`, `eager_set`, `eager_seal`) that Plain R
+//! backs with the paging heap and Strawman with `(I,V)` tables. They keep
+//! separate code only for loading and reopening stored objects and for
+//! the matrix kernels, where R's element loops on the heap against tiled
+//! kernels on tables is the paper's own contrast.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -214,6 +224,11 @@ impl Drop for StrawMat {
             let _ = self.mat.clone().free();
         }
     }
+}
+
+/// A Strawman matrix result: owned, so freed with its last handle.
+fn stored(mat: DenseMatrix) -> MatRepr {
+    MatRepr::Stored(Rc::new(StrawMat { owned: true, mat }))
 }
 
 /// Counter baselines a measured region starts from: a trace span, or a
@@ -572,63 +587,32 @@ impl Runtime {
         name: Option<&str>,
         mut f: impl FnMut(usize) -> f64,
     ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::PlainR => {
-                let id = self.heap.alloc(len);
-                let chunk = self.chunk();
-                let mut buf = Vec::with_capacity(chunk);
-                let mut at = 0;
-                while at < len {
-                    buf.clear();
-                    let take = chunk.min(len - at);
-                    for i in 0..take {
-                        buf.push(f(at + i));
-                    }
-                    self.heap.write_chunk(id, at, &buf);
-                    at += take;
+        if !self.deferred() {
+            let v = self.eager_build(len, name, |_, at, buf| {
+                for (i, x) in buf.iter_mut().enumerate() {
+                    *x = f(at + i);
                 }
-                Ok(VecRepr::Vm(id))
-            }
-            EngineKind::Strawman => {
-                let vec = DenseVector::create_wide(&self.ctx, len, name)?;
-                let chunk = self.chunk();
-                let mut buf = Vec::with_capacity(chunk);
-                let mut at = 0;
-                while at < len {
-                    buf.clear();
-                    let take = chunk.min(len - at);
-                    for i in 0..take {
-                        buf.push(f(at + i));
-                    }
-                    vec.write_range(at, &buf)?;
-                    at += take;
-                }
-                vec.flush()?;
-                // Named tables are durable catalog residents the session
-                // merely references; anonymous intermediates are owned.
-                let owned = name.is_none();
-                Ok(VecRepr::Table(Rc::new(StrawTable { owned, vec })))
-            }
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let src = self.fresh_source();
-                let mut writer = VectorWriter::new(&self.ctx, len, name)?;
-                let chunk = self.chunk();
-                let mut buf = Vec::with_capacity(chunk);
-                let mut at = 0;
-                while at < len {
-                    buf.clear();
-                    let take = chunk.min(len - at);
-                    for i in 0..take {
-                        buf.push(f(at + i));
-                    }
-                    writer.push_chunk(&buf)?;
-                    at += take;
-                }
-                self.vec_sources.insert(src.0, writer.finish()?);
-                let node = self.graph.vec_source(src, len);
-                Ok(VecRepr::Node(node))
-            }
+                Ok(())
+            })?;
+            self.eager_seal(&v)?;
+            return Ok(v);
         }
+        let src = self.fresh_source();
+        let mut writer = VectorWriter::new(&self.ctx, len, name)?;
+        let chunk = self.chunk();
+        let mut buf = Vec::with_capacity(chunk);
+        let mut at = 0;
+        while at < len {
+            buf.clear();
+            let take = chunk.min(len - at);
+            for i in 0..take {
+                buf.push(f(at + i));
+            }
+            writer.push_chunk(&buf)?;
+            at += take;
+        }
+        self.vec_sources.insert(src.0, writer.finish()?);
+        Ok(VecRepr::Node(self.graph.vec_source(src, len)))
     }
 
     /// Load a matrix produced by `f(row, col)`. A `name` registers the
@@ -643,20 +627,12 @@ impl Runtime {
     ) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::PlainR => {
-                let id = self.heap.alloc(rows * cols);
-                let chunk = self.chunk();
-                let mut buf = Vec::with_capacity(chunk);
-                let mut at = 0;
-                while at < rows * cols {
-                    buf.clear();
-                    let take = chunk.min(rows * cols - at);
-                    for i in 0..take {
-                        let idx = at + i;
-                        buf.push(f(idx / cols, idx % cols));
+                let id = self.heap_build(rows * cols, |_, at, buf| {
+                    for (i, x) in buf.iter_mut().enumerate() {
+                        *x = f((at + i) / cols, (at + i) % cols);
                     }
-                    self.heap.write_chunk(id, at, &buf);
-                    at += take;
-                }
+                    Ok(())
+                })?;
                 Ok(MatRepr::Vm { id, rows, cols })
             }
             EngineKind::Strawman => {
@@ -704,15 +680,10 @@ impl Runtime {
     ) -> ExecResult<MatRepr> {
         match self.cfg.kind {
             EngineKind::PlainR => {
-                let id = self.heap.alloc(rows * cols);
-                let chunk = self.chunk();
-                let zeros = vec![0.0; chunk];
-                let mut at = 0;
-                while at < rows * cols {
-                    let take = chunk.min(rows * cols - at);
-                    self.heap.write_chunk(id, at, &zeros[..take]);
-                    at += take;
-                }
+                let id = self.heap_build(rows * cols, |_, _, zeros| {
+                    zeros.fill(0.0);
+                    Ok(())
+                })?;
                 for &(r, c, v) in triplets {
                     let idx = r * cols + c;
                     let cur = self.heap.get(id, idx);
@@ -765,18 +736,7 @@ impl Runtime {
         let vec = DenseVector::open(&self.ctx, name)?;
         match self.cfg.kind {
             EngineKind::PlainR => {
-                let len = vec.len();
-                let id = self.heap.alloc(len);
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < len {
-                    let take = chunk.min(len - at);
-                    vec.read_range(at, &mut buf[..take])?;
-                    self.heap.write_chunk(id, at, &buf[..take]);
-                    at += take;
-                }
-                Ok(VecRepr::Vm(id))
+                self.eager_build(vec.len(), None, |_, at, buf| Ok(vec.read_range(at, buf)?))
             }
             EngineKind::Strawman => Ok(VecRepr::Table(Rc::new(StrawTable { owned: false, vec }))),
             EngineKind::MatNamed | EngineKind::Riot => {
@@ -802,24 +762,10 @@ impl Runtime {
             let (rows, cols) = sp.shape();
             match self.cfg.kind {
                 EngineKind::PlainR => {
-                    let data = sp.to_rows()?;
-                    let id = self.heap.alloc(rows * cols);
-                    let chunk = self.chunk();
-                    let mut at = 0;
-                    while at < rows * cols {
-                        let take = chunk.min(rows * cols - at);
-                        self.heap.write_chunk(id, at, &data[at..at + take]);
-                        at += take;
-                    }
+                    let id = self.heap.alloc_from(&sp.to_rows()?);
                     Ok(MatRepr::Vm { id, rows, cols })
                 }
-                EngineKind::Strawman => {
-                    let dense = sp.to_dense(TileOrder::ColMajor, None)?;
-                    Ok(MatRepr::Stored(Rc::new(StrawMat {
-                        owned: true,
-                        mat: dense,
-                    })))
-                }
+                EngineKind::Strawman => Ok(stored(sp.to_dense(TileOrder::ColMajor, None)?)),
                 EngineKind::MatNamed | EngineKind::Riot => {
                     let src = self.fresh_source();
                     let nnz = sp.nnz();
@@ -834,15 +780,7 @@ impl Runtime {
             let (rows, cols) = mat.shape();
             match self.cfg.kind {
                 EngineKind::PlainR => {
-                    let data = mat.to_rows()?;
-                    let id = self.heap.alloc(rows * cols);
-                    let chunk = self.chunk();
-                    let mut at = 0;
-                    while at < rows * cols {
-                        let take = chunk.min(rows * cols - at);
-                        self.heap.write_chunk(id, at, &data[at..at + take]);
-                        at += take;
-                    }
+                    let id = self.heap.alloc_from(&mat.to_rows()?);
                     Ok(MatRepr::Vm { id, rows, cols })
                 }
                 EngineKind::Strawman => {
@@ -858,6 +796,10 @@ impl Runtime {
     }
 
     // ================= vector operations =================
+    //
+    // Each operator below is written once. A deferred operand builds a
+    // graph node; an eager one computes at once over the eager store
+    // (next section), after the same `Shape` rule the graph applies.
 
     /// Length of a vector value.
     pub(crate) fn vec_len(&self, v: &VecRepr) -> usize {
@@ -868,6 +810,16 @@ impl Runtime {
         }
     }
 
+    /// Shape of an eager vector value.
+    fn eager_shape(&self, v: &VecRepr) -> Shape {
+        Shape::Vector(self.vec_len(v))
+    }
+
+    /// True for the engines that build graph nodes instead of computing.
+    fn deferred(&self) -> bool {
+        matches!(self.cfg.kind, EngineKind::MatNamed | EngineKind::Riot)
+    }
+
     /// Elementwise binary op between two vector values (R recycling). Every
     /// engine refuses operands [`Shape::zip`] rejects, the eager ones before
     /// they compute anything.
@@ -875,14 +827,15 @@ impl Runtime {
         if let (VecRepr::Node(l), VecRepr::Node(r)) = (lhs, rhs) {
             return Ok(VecRepr::Node(self.graph.zip(op, *l, *r)?));
         }
-        Shape::Vector(self.vec_len(lhs)).zip(&Shape::Vector(self.vec_len(rhs)), op.name())?;
-        match self.cfg.kind {
-            EngineKind::PlainR => self.plainr_binop(op, lhs, rhs),
-            _ => self.strawman_binop(op, lhs, rhs),
-        }
+        let n = self
+            .eager_shape(lhs)
+            .zip(&self.eager_shape(rhs), op.name())?
+            .len();
+        self.eager_zip(op, lhs, rhs, n)
     }
 
-    /// Elementwise binary op against a scalar.
+    /// Elementwise binary op against a scalar. The eager engines store the
+    /// scalar as a length-1 vector and recycle it.
     pub(crate) fn binop_scalar(
         &mut self,
         op: BinOp,
@@ -890,256 +843,101 @@ impl Runtime {
         scalar: f64,
         scalar_on_left: bool,
     ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let VecRepr::Node(l) = lhs else {
-                    unreachable!()
-                };
-                let s = self.graph.scalar(scalar);
-                let node = if scalar_on_left {
-                    self.graph.zip(op, s, *l)?
-                } else {
-                    self.graph.zip(op, *l, s)?
-                };
-                Ok(VecRepr::Node(node))
-            }
-            EngineKind::PlainR => {
-                let scalar_repr = self.scalar_vec(scalar);
-                let out = if scalar_on_left {
-                    self.plainr_binop(op, &scalar_repr, lhs)
-                } else {
-                    self.plainr_binop(op, lhs, &scalar_repr)
-                };
-                self.release(&scalar_repr);
-                out
-            }
-            EngineKind::Strawman => {
-                let scalar_repr = self.scalar_vec(scalar);
-                if scalar_on_left {
-                    self.strawman_binop(op, &scalar_repr, lhs)
-                } else {
-                    self.strawman_binop(op, lhs, &scalar_repr)
-                }
-            }
+        if let VecRepr::Node(l) = lhs {
+            let s = self.graph.scalar(scalar);
+            let (a, b) = if scalar_on_left { (s, *l) } else { (*l, s) };
+            return Ok(VecRepr::Node(self.graph.zip(op, a, b)?));
         }
+        let n = self.eager_shape(lhs).zip(&Shape::Scalar, op.name())?.len();
+        let s = self.eager_values(&[scalar])?;
+        let out = if scalar_on_left {
+            self.eager_zip(op, &s, lhs, n)
+        } else {
+            self.eager_zip(op, lhs, &s, n)
+        };
+        self.release(&s);
+        out
     }
 
-    /// A length-1 vector holding `scalar` (eager engines' broadcast aid).
-    fn scalar_vec(&mut self, scalar: f64) -> VecRepr {
-        match self.cfg.kind {
-            EngineKind::PlainR => {
-                let id = self.heap.alloc(1);
-                self.heap.write_chunk(id, 0, &[scalar]);
-                VecRepr::Vm(id)
+    /// `n` elements of `lhs op rhs`, a governed chunk at a time.
+    fn eager_zip(
+        &mut self,
+        op: BinOp,
+        lhs: &VecRepr,
+        rhs: &VecRepr,
+        n: usize,
+    ) -> ExecResult<VecRepr> {
+        let site = self.eager_site("plainr.binop.chunk", "strawman.binop.chunk");
+        let mut rb = vec![0.0; self.chunk()];
+        let dst = self.eager_build(n, None, |rt, at, lb| {
+            rt.ctx.governor().checkpoint(site)?;
+            rt.ctx.governor().add_flops(lb.len() as u64);
+            let rb = &mut rb[..lb.len()];
+            rt.eager_read_recycled(lhs, n, at, lb)?;
+            rt.eager_read_recycled(rhs, n, at, rb)?;
+            for (l, r) in lb.iter_mut().zip(rb.iter()) {
+                *l = op.apply(*l, *r);
             }
-            EngineKind::Strawman => {
-                let vec =
-                    DenseVector::create_wide(&self.ctx, 1, None).expect("scalar table allocation");
-                vec.write_range(0, &[scalar]).expect("scalar table write");
-                VecRepr::Table(Rc::new(StrawTable { owned: true, vec }))
-            }
-            _ => unreachable!("deferred engines use Scalar nodes"),
-        }
+            Ok(())
+        })?;
+        self.eager_seal(&dst)?;
+        Ok(dst)
     }
 
     /// Elementwise unary map.
     pub(crate) fn unop(&mut self, op: UnOp, input: &VecRepr) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let VecRepr::Node(i) = input else {
-                    unreachable!()
-                };
-                Ok(VecRepr::Node(self.graph.map(op, *i)))
-            }
-            EngineKind::PlainR => {
-                let n = self.vec_len(input);
-                let VecRepr::Vm(src) = input else {
-                    unreachable!()
-                };
-                let src = *src;
-                let dst = self.heap.alloc(n);
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < n {
-                    self.ctx.governor().checkpoint("plainr.unop.chunk")?;
-                    let take = chunk.min(n - at);
-                    self.ctx.governor().add_flops(take as u64);
-                    self.heap.read_chunk(src, at, &mut buf[..take]);
-                    for v in &mut buf[..take] {
-                        *v = op.apply(*v);
-                    }
-                    self.heap.write_chunk(dst, at, &buf[..take]);
-                    at += take;
-                }
-                Ok(VecRepr::Vm(dst))
-            }
-            EngineKind::Strawman => {
-                let n = self.vec_len(input);
-                let VecRepr::Table(t) = input else {
-                    unreachable!()
-                };
-                let out = DenseVector::create_wide(&self.ctx, n, None)?;
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < n {
-                    self.ctx.governor().checkpoint("strawman.unop.chunk")?;
-                    let take = chunk.min(n - at);
-                    self.ctx.governor().add_flops(take as u64);
-                    t.vec.read_range(at, &mut buf[..take])?;
-                    for v in &mut buf[..take] {
-                        *v = op.apply(*v);
-                    }
-                    out.write_range(at, &buf[..take])?;
-                    at += take;
-                }
-                out.flush()?;
-                Ok(VecRepr::Table(Rc::new(StrawTable {
-                    owned: true,
-                    vec: out,
-                })))
-            }
+        if let VecRepr::Node(i) = input {
+            return Ok(VecRepr::Node(self.graph.map(op, *i)));
         }
-    }
-
-    fn plainr_binop(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
-        let (VecRepr::Vm(l), VecRepr::Vm(r)) = (lhs, rhs) else {
-            unreachable!()
-        };
-        let (l, r) = (*l, *r);
-        let (ll, rl) = (self.heap.len(l), self.heap.len(r));
-        let n = ll.max(rl);
-        let dst = self.heap.alloc(n);
-        let chunk = self.chunk();
-        let mut lb = vec![0.0; chunk];
-        let mut rb = vec![0.0; chunk];
-        let mut ob = vec![0.0; chunk];
-        let mut at = 0;
-        while at < n {
-            self.ctx.governor().checkpoint("plainr.binop.chunk")?;
-            let take = chunk.min(n - at);
-            self.ctx.governor().add_flops(take as u64);
-            // Aligned fast path; recycled operands fall back to element
-            // reads (R's recycling is rare for large operands).
-            if ll == n {
-                self.heap.read_chunk(l, at, &mut lb[..take]);
-            } else {
-                for i in 0..take {
-                    lb[i] = self.heap.get(l, (at + i) % ll);
-                }
+        let site = self.eager_site("plainr.unop.chunk", "strawman.unop.chunk");
+        let dst = self.eager_build(self.vec_len(input), None, |rt, at, buf| {
+            rt.ctx.governor().checkpoint(site)?;
+            rt.ctx.governor().add_flops(buf.len() as u64);
+            rt.eager_read(input, at, buf)?;
+            for v in buf.iter_mut() {
+                *v = op.apply(*v);
             }
-            if rl == n {
-                self.heap.read_chunk(r, at, &mut rb[..take]);
-            } else {
-                for i in 0..take {
-                    rb[i] = self.heap.get(r, (at + i) % rl);
-                }
-            }
-            for i in 0..take {
-                ob[i] = op.apply(lb[i], rb[i]);
-            }
-            self.heap.write_chunk(dst, at, &ob[..take]);
-            at += take;
-        }
-        Ok(VecRepr::Vm(dst))
-    }
-
-    fn strawman_binop(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
-        let (VecRepr::Table(lt), VecRepr::Table(rt)) = (lhs, rhs) else {
-            unreachable!()
-        };
-        let (ll, rl) = (lt.vec.len(), rt.vec.len());
-        let n = ll.max(rl);
-        let out = DenseVector::create_wide(&self.ctx, n, None)?;
-        let chunk = self.chunk();
-        let mut lb = vec![0.0; chunk];
-        let mut rb = vec![0.0; chunk];
-        let mut at = 0;
-        while at < n {
-            self.ctx.governor().checkpoint("strawman.binop.chunk")?;
-            let take = chunk.min(n - at);
-            self.ctx.governor().add_flops(take as u64);
-            if ll == n {
-                lt.vec.read_range(at, &mut lb[..take])?;
-            } else {
-                for i in 0..take {
-                    lb[i] = lt.vec.get((at + i) % ll)?;
-                }
-            }
-            if rl == n {
-                rt.vec.read_range(at, &mut rb[..take])?;
-            } else {
-                for i in 0..take {
-                    rb[i] = rt.vec.get((at + i) % rl)?;
-                }
-            }
-            for i in 0..take {
-                lb[i] = op.apply(lb[i], rb[i]);
-            }
-            out.write_range(at, &lb[..take])?;
-            at += take;
-        }
-        out.flush()?;
-        Ok(VecRepr::Table(Rc::new(StrawTable {
-            owned: true,
-            vec: out,
-        })))
+            Ok(())
+        })?;
+        self.eager_seal(&dst)?;
+        Ok(dst)
     }
 
     /// Subscript read `data[index]`.
     pub(crate) fn gather(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(d), VecRepr::Node(i)) = (data, index) else {
-                    unreachable!()
-                };
-                Ok(VecRepr::Node(self.graph.gather(*d, *i)?))
-            }
-            EngineKind::PlainR => {
-                let (VecRepr::Vm(d), VecRepr::Vm(i)) = (data, index) else {
-                    unreachable!()
-                };
-                let (d, i) = (*d, *i);
-                let (dn, k) = (self.heap.len(d), self.heap.len(i));
-                let dst = self.heap.alloc(k);
-                for t in 0..k {
-                    let raw = self.heap.get(i, t) as i64;
-                    if raw < 1 || raw as usize > dn {
-                        return Err(ExecError::Expr(crate::expr::ExprError::IndexOutOfBounds {
-                            index: raw,
-                            len: dn,
-                        }));
-                    }
-                    let v = self.heap.get(d, raw as usize - 1);
-                    self.heap.set(dst, t, v);
-                }
-                self.ctx.governor().add_flops(k as u64);
-                Ok(VecRepr::Vm(dst))
-            }
-            EngineKind::Strawman => {
-                let (VecRepr::Table(dt), VecRepr::Table(it)) = (data, index) else {
-                    unreachable!()
-                };
-                let (dn, k) = (dt.vec.len(), it.vec.len());
-                let out = DenseVector::create_wide(&self.ctx, k, None)?;
-                for t in 0..k {
-                    let raw = it.vec.get(t)? as i64;
-                    if raw < 1 || raw as usize > dn {
-                        return Err(ExecError::Expr(crate::expr::ExprError::IndexOutOfBounds {
-                            index: raw,
-                            len: dn,
-                        }));
-                    }
-                    out.set(t, dt.vec.get(raw as usize - 1)?)?;
-                }
-                self.ctx.governor().add_flops(k as u64);
-                Ok(VecRepr::Table(Rc::new(StrawTable {
-                    owned: true,
-                    vec: out,
-                })))
-            }
+        if let (VecRepr::Node(d), VecRepr::Node(i)) = (data, index) {
+            return Ok(VecRepr::Node(self.graph.gather(*d, *i)?));
         }
+        let k = self
+            .eager_shape(data)
+            .gather(&self.eager_shape(index))?
+            .len();
+        let len = self.vec_len(data);
+        let dst = self.eager_alloc(k, None)?;
+        for t in 0..k {
+            let i = subscript(self.eager_get(index, t)?, len)?;
+            let v = self.eager_get(data, i)?;
+            self.eager_set(&dst, t, v)?;
+        }
+        self.ctx.governor().add_flops(k as u64);
+        Ok(dst)
+    }
+
+    /// Elementwise conditional `ifelse(cond, yes, no)`.
+    pub(crate) fn ifelse(
+        &mut self,
+        cond: &VecRepr,
+        yes: &VecRepr,
+        no: &VecRepr,
+    ) -> ExecResult<VecRepr> {
+        if let (VecRepr::Node(c), VecRepr::Node(y), VecRepr::Node(n)) = (cond, yes, no) {
+            return Ok(VecRepr::Node(self.graph.if_else(*c, *y, *n)?));
+        }
+        let n = self
+            .eager_shape(cond)
+            .if_else(&self.eager_shape(yes), &self.eager_shape(no))?
+            .len();
+        self.eager_select(cond, yes, no, n)
     }
 
     /// Masked functional update `data[mask] <- value`.
@@ -1149,21 +947,14 @@ impl Runtime {
         mask: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(d), VecRepr::Node(m), VecRepr::Node(v)) = (data, mask, value)
-                else {
-                    unreachable!()
-                };
-                Ok(VecRepr::Node(self.graph.mask_assign(*d, *m, *v)?))
-            }
-            _ => {
-                // Eager: out[i] = mask[i] != 0 ? value.at(i) : data[i].
-                let cond = mask.clone();
-                let sel = self.ifelse_eager(&cond, value, data)?;
-                Ok(sel)
-            }
+        if let (VecRepr::Node(d), VecRepr::Node(m), VecRepr::Node(v)) = (data, mask, value) {
+            return Ok(VecRepr::Node(self.graph.mask_assign(*d, *m, *v)?));
         }
+        let n = self
+            .eager_shape(data)
+            .mask_assign(&self.eager_shape(mask), &self.eager_shape(value))?
+            .len();
+        self.eager_select(mask, value, data, n)
     }
 
     /// Masked update against a scalar replacement value.
@@ -1173,106 +964,55 @@ impl Runtime {
         mask: &VecRepr,
         value: f64,
     ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(d), VecRepr::Node(m)) = (data, mask) else {
-                    unreachable!()
-                };
-                let v = self.graph.scalar(value);
-                Ok(VecRepr::Node(self.graph.mask_assign(*d, *m, v)?))
-            }
-            _ => {
-                let v = self.scalar_vec(value);
-                let out = self.mask_assign(data, mask, &v);
-                if let VecRepr::Vm(_) = v {
-                    self.release(&v);
-                }
-                out
-            }
+        if let (VecRepr::Node(d), VecRepr::Node(m)) = (data, mask) {
+            let v = self.graph.scalar(value);
+            return Ok(VecRepr::Node(self.graph.mask_assign(*d, *m, v)?));
         }
+        let n = self
+            .eager_shape(data)
+            .mask_assign(&self.eager_shape(mask), &Shape::Scalar)?
+            .len();
+        let v = self.eager_values(&[value])?;
+        let out = self.eager_select(mask, &v, data, n);
+        self.release(&v);
+        out
     }
 
-    /// Eager elementwise conditional used by the eager engines' updates.
-    fn ifelse_eager(&mut self, cond: &VecRepr, yes: &VecRepr, no: &VecRepr) -> ExecResult<VecRepr> {
-        let n = self.vec_len(no).max(self.vec_len(cond));
-        match self.cfg.kind {
-            EngineKind::PlainR => {
-                let (VecRepr::Vm(c), VecRepr::Vm(y), VecRepr::Vm(nn)) = (cond, yes, no) else {
-                    unreachable!()
+    /// `n` elements of `cond[i] != 0 ? yes[i] : no[i]`, every operand
+    /// recycled. Each element reads only the branch it takes; results are
+    /// written a chunk at a time.
+    fn eager_select(
+        &mut self,
+        cond: &VecRepr,
+        yes: &VecRepr,
+        no: &VecRepr,
+        n: usize,
+    ) -> ExecResult<VecRepr> {
+        let (cl, yl, nl) = (self.vec_len(cond), self.vec_len(yes), self.vec_len(no));
+        let dst = self.eager_build(n, None, |rt, at, buf| {
+            for (i, x) in buf.iter_mut().enumerate() {
+                let idx = at + i;
+                *x = if rt.eager_get(cond, idx % cl)? != 0.0 {
+                    rt.eager_get(yes, idx % yl)?
+                } else {
+                    rt.eager_get(no, idx % nl)?
                 };
-                let (c, y, nn) = (*c, *y, *nn);
-                let (cl, yl, nl) = (self.heap.len(c), self.heap.len(y), self.heap.len(nn));
-                let dst = self.heap.alloc(n);
-                for i in 0..n {
-                    let cv = self.heap.get(c, i % cl);
-                    let v = if cv != 0.0 {
-                        self.heap.get(y, i % yl)
-                    } else {
-                        self.heap.get(nn, i % nl)
-                    };
-                    self.heap.set(dst, i, v);
-                }
-                self.ctx.governor().add_flops(n as u64);
-                Ok(VecRepr::Vm(dst))
             }
-            EngineKind::Strawman => {
-                let (VecRepr::Table(c), VecRepr::Table(y), VecRepr::Table(nn)) = (cond, yes, no)
-                else {
-                    unreachable!()
-                };
-                let (cl, yl, nl) = (c.vec.len(), y.vec.len(), nn.vec.len());
-                let out = DenseVector::create_wide(&self.ctx, n, None)?;
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < n {
-                    let take = chunk.min(n - at);
-                    for i in 0..take {
-                        let idx = at + i;
-                        let cv = c.vec.get(idx % cl)?;
-                        buf[i] = if cv != 0.0 {
-                            y.vec.get(idx % yl)?
-                        } else {
-                            nn.vec.get(idx % nl)?
-                        };
-                    }
-                    out.write_range(at, &buf[..take])?;
-                    at += take;
-                }
-                out.flush()?;
-                self.ctx.governor().add_flops(n as u64);
-                Ok(VecRepr::Table(Rc::new(StrawTable {
-                    owned: true,
-                    vec: out,
-                })))
-            }
-            _ => unreachable!(),
-        }
+            Ok(())
+        })?;
+        self.eager_seal(&dst)?;
+        self.ctx.governor().add_flops(n as u64);
+        Ok(dst)
     }
 
     /// A small in-memory vector value (R's `c(...)`). Deferred engines get
     /// a `Literal` node — the optimizer can then see the values, exactly
     /// like RIOT-DB's optimizer sees the small `S` table of Example 1.
     pub(crate) fn literal(&mut self, values: Vec<f64>) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                Ok(VecRepr::Node(self.graph.literal(values)))
-            }
-            EngineKind::PlainR => {
-                let id = self.heap.alloc(values.len().max(1));
-                if !values.is_empty() {
-                    self.heap.write_chunk(id, 0, &values);
-                }
-                Ok(VecRepr::Vm(id))
-            }
-            EngineKind::Strawman => {
-                let vec = DenseVector::create_wide(&self.ctx, values.len(), None)?;
-                if !values.is_empty() {
-                    vec.write_range(0, &values)?;
-                }
-                Ok(VecRepr::Table(Rc::new(StrawTable { owned: true, vec })))
-            }
+        if self.deferred() {
+            return Ok(VecRepr::Node(self.graph.literal(values)));
         }
+        self.eager_values(&values)
     }
 
     /// Functional indexed update `data[index] <- value` (value recycled to
@@ -1283,89 +1023,34 @@ impl Runtime {
         index: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(d), VecRepr::Node(i), VecRepr::Node(v)) = (data, index, value)
-                else {
-                    unreachable!()
-                };
-                Ok(VecRepr::Node(self.graph.sub_assign(*d, *i, *v)?))
-            }
-            EngineKind::PlainR => {
-                let (VecRepr::Vm(d), VecRepr::Vm(i), VecRepr::Vm(v)) = (data, index, value) else {
-                    unreachable!()
-                };
-                let (d, i, v) = (*d, *i, *v);
-                let n = self.heap.len(d);
-                let k = self.heap.len(i);
-                let vl = self.heap.len(v);
-                // Copy-on-write: R duplicates the vector before updating.
-                let dst = self.heap.alloc(n);
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < n {
-                    let take = chunk.min(n - at);
-                    self.heap.read_chunk(d, at, &mut buf[..take]);
-                    self.heap.write_chunk(dst, at, &buf[..take]);
-                    at += take;
-                }
-                for t in 0..k {
-                    let raw = self.heap.get(i, t) as i64;
-                    if raw < 1 || raw as usize > n {
-                        return Err(ExecError::Expr(crate::expr::ExprError::IndexOutOfBounds {
-                            index: raw,
-                            len: n,
-                        }));
-                    }
-                    let val = self.heap.get(v, t % vl);
-                    self.heap.set(dst, raw as usize - 1, val);
-                }
-                self.ctx.governor().add_flops((n + k) as u64);
-                Ok(VecRepr::Vm(dst))
-            }
-            EngineKind::Strawman => {
-                let (VecRepr::Table(dt), VecRepr::Table(it), VecRepr::Table(vt)) =
-                    (data, index, value)
-                else {
-                    unreachable!()
-                };
-                let n = dt.vec.len();
-                let k = it.vec.len();
-                let vl = vt.vec.len();
-                let out = DenseVector::create_wide(&self.ctx, n, None)?;
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut at = 0;
-                while at < n {
-                    let take = chunk.min(n - at);
-                    dt.vec.read_range(at, &mut buf[..take])?;
-                    out.write_range(at, &buf[..take])?;
-                    at += take;
-                }
-                for t in 0..k {
-                    let raw = it.vec.get(t)? as i64;
-                    if raw < 1 || raw as usize > n {
-                        return Err(ExecError::Expr(crate::expr::ExprError::IndexOutOfBounds {
-                            index: raw,
-                            len: n,
-                        }));
-                    }
-                    out.set(raw as usize - 1, vt.vec.get(t % vl)?)?;
-                }
-                out.flush()?;
-                self.ctx.governor().add_flops((n + k) as u64);
-                Ok(VecRepr::Table(Rc::new(StrawTable {
-                    owned: true,
-                    vec: out,
-                })))
-            }
+        if let (VecRepr::Node(d), VecRepr::Node(i), VecRepr::Node(v)) = (data, index, value) {
+            return Ok(VecRepr::Node(self.graph.sub_assign(*d, *i, *v)?));
         }
+        let n = self
+            .eager_shape(data)
+            .sub_assign(&self.eager_shape(index), &self.eager_shape(value))?
+            .len();
+        let (k, vl) = (self.vec_len(index), self.vec_len(value));
+        // Copy-on-write: R duplicates the vector before updating.
+        let dst = self.eager_build(n, None, |rt, at, buf| rt.eager_read(data, at, buf))?;
+        for t in 0..k {
+            let i = subscript(self.eager_get(index, t)?, n)?;
+            let v = self.eager_get(value, t % vl)?;
+            self.eager_set(&dst, i, v)?;
+        }
+        self.eager_seal(&dst)?;
+        self.ctx.governor().add_flops((n + k) as u64);
+        Ok(dst)
     }
 
     /// `sample(n, k)`: k distinct 1-based indices, deterministic per seed.
     pub(crate) fn sample(&mut self, n: usize, k: usize) -> ExecResult<VecRepr> {
-        assert!(k <= n, "cannot sample {k} from {n} without replacement");
+        if k > n {
+            return Err(ExecError::Unsupported(format!(
+                "sample({n}, {k}): cannot take a sample larger than the population \
+                 without replacement"
+            )));
+        }
         // Partial Fisher-Yates with a sparse swap map.
         let mut swaps: HashMap<usize, usize> = HashMap::new();
         let mut out = Vec::with_capacity(k);
@@ -1377,19 +1062,7 @@ impl Runtime {
             swaps.insert(i, vj);
             out.push((vj + 1) as f64);
         }
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => Ok(VecRepr::Node(self.graph.literal(out))),
-            EngineKind::PlainR => {
-                let id = self.heap.alloc(k);
-                self.heap.write_chunk(id, 0, &out);
-                Ok(VecRepr::Vm(id))
-            }
-            EngineKind::Strawman => {
-                let vec = DenseVector::create_wide(&self.ctx, k, None)?;
-                vec.write_range(0, &out)?;
-                Ok(VecRepr::Table(Rc::new(StrawTable { owned: true, vec })))
-            }
-        }
+        self.literal(out)
     }
 
     /// The sequence `start:end` (R's `start:end`, descending when
@@ -1397,85 +1070,182 @@ impl Runtime {
     pub(crate) fn range(&mut self, start: i64, end: i64) -> ExecResult<VecRepr> {
         let len = (end.abs_diff(start) + 1) as usize;
         let step = if end < start { -1 } else { 1 };
-        let value = |i: usize| (start + step * i as i64) as f64;
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                Ok(VecRepr::Node(self.graph.range_step(start, len, step)))
-            }
-            EngineKind::PlainR => {
-                let id = self.heap.alloc(len);
-                let data: Vec<f64> = (0..len).map(value).collect();
-                self.heap.write_chunk(id, 0, &data);
-                Ok(VecRepr::Vm(id))
-            }
-            EngineKind::Strawman => {
-                let vec = DenseVector::create_wide(&self.ctx, len, None)?;
-                let data: Vec<f64> = (0..len).map(value).collect();
-                vec.write_range(0, &data)?;
-                Ok(VecRepr::Table(Rc::new(StrawTable { owned: true, vec })))
-            }
+        if self.deferred() {
+            return Ok(VecRepr::Node(self.graph.range_step(start, len, step)));
         }
+        let data: Vec<f64> = (0..len).map(|i| (start + step * i as i64) as f64).collect();
+        self.eager_values(&data)
     }
 
     /// Reduce a vector to a scalar (forces evaluation on all engines, but
     /// deferred engines stream without materializing).
     pub(crate) fn aggregate(&mut self, op: AggOp, v: &VecRepr) -> ExecResult<f64> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let VecRepr::Node(id) = v else { unreachable!() };
-                let root = self.graph.agg(op, *id);
-                self.force("aggregate", root, |rt, root| match *rt.graph.node(root) {
-                    Node::Agg { op, input } => rt.aggregate_node(op, input),
-                    // The optimizer folded the aggregate to a scalar.
-                    Node::Scalar(c) => Ok(c),
-                    _ => unreachable!("agg root stays an agg"),
-                })
+        if let VecRepr::Node(id) = v {
+            let root = self.graph.agg(op, *id);
+            return self.force("aggregate", root, |rt, root| match *rt.graph.node(root) {
+                Node::Agg { op, input } => rt.aggregate_node(op, input),
+                // The optimizer folded the aggregate to a scalar.
+                Node::Scalar(c) => Ok(c),
+                _ => unreachable!("agg root stays an agg"),
+            });
+        }
+        let site = self.eager_site("plainr.agg.chunk", "strawman.agg.chunk");
+        let n = self.vec_len(v);
+        let chunk = self.chunk();
+        let mut buf = vec![0.0; chunk];
+        let mut acc = op.init();
+        let mut at = 0;
+        while at < n {
+            self.ctx.governor().checkpoint(site)?;
+            let take = chunk.min(n - at);
+            self.ctx.governor().add_flops(take as u64);
+            self.eager_read(v, at, &mut buf[..take])?;
+            for &x in &buf[..take] {
+                acc = op.fold(acc, x);
             }
-            EngineKind::PlainR => {
-                let VecRepr::Vm(id) = v else { unreachable!() };
-                let id = *id;
-                let n = self.heap.len(id);
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut acc = op.init();
-                let mut at = 0;
-                while at < n {
-                    self.ctx.governor().checkpoint("plainr.agg.chunk")?;
-                    let take = chunk.min(n - at);
-                    self.ctx.governor().add_flops(take as u64);
-                    self.heap.read_chunk(id, at, &mut buf[..take]);
-                    for &x in &buf[..take] {
-                        acc = op.fold(acc, x);
-                    }
-                    at += take;
-                }
-                if op == AggOp::Mean && n > 0 {
-                    acc /= n as f64;
-                }
-                Ok(acc)
-            }
-            EngineKind::Strawman => {
-                let VecRepr::Table(t) = v else { unreachable!() };
-                let n = t.vec.len();
-                let chunk = self.chunk();
-                let mut buf = vec![0.0; chunk];
-                let mut acc = op.init();
-                let mut at = 0;
-                while at < n {
-                    self.ctx.governor().checkpoint("strawman.agg.chunk")?;
-                    let take = chunk.min(n - at);
-                    self.ctx.governor().add_flops(take as u64);
-                    t.vec.read_range(at, &mut buf[..take])?;
-                    for &x in &buf[..take] {
-                        acc = op.fold(acc, x);
-                    }
-                    at += take;
-                }
-                if op == AggOp::Mean && n > 0 {
-                    acc /= n as f64;
-                }
-                Ok(acc)
-            }
+            at += take;
+        }
+        if op == AggOp::Mean && n > 0 {
+            acc /= n as f64;
+        }
+        Ok(acc)
+    }
+
+    // ================= the eager store =================
+    //
+    // Plain R keeps a vector's elements on the paging heap (`VecRepr::Vm`),
+    // Strawman in an `(I,V)` table (`VecRepr::Table`). These methods are
+    // the whole difference between the two for vector operators.
+
+    /// A zeroed eager vector of `len` elements. Strawman registers a
+    /// `name` in the catalog; Plain R has no catalog and ignores it.
+    fn eager_alloc(&mut self, len: usize, name: Option<&str>) -> ExecResult<VecRepr> {
+        if self.cfg.kind == EngineKind::PlainR {
+            return Ok(VecRepr::Vm(self.heap.alloc(len)));
+        }
+        let vec = DenseVector::create_wide(&self.ctx, len, name)?;
+        // Named tables are durable catalog residents the session merely
+        // references; anonymous intermediates are owned.
+        let owned = name.is_none();
+        Ok(VecRepr::Table(Rc::new(StrawTable { owned, vec })))
+    }
+
+    /// Read `out.len()` elements of `v` starting at `at`.
+    fn eager_read(&mut self, v: &VecRepr, at: usize, out: &mut [f64]) -> ExecResult<()> {
+        match v {
+            VecRepr::Vm(id) => self.heap.read_chunk(*id, at, out),
+            VecRepr::Table(t) => t.vec.read_range(at, out)?,
+            VecRepr::Node(_) => unreachable!("deferred values have no eager store"),
+        }
+        Ok(())
+    }
+
+    /// Write `data` into `v` starting at `at`.
+    fn eager_write(&mut self, v: &VecRepr, at: usize, data: &[f64]) -> ExecResult<()> {
+        match v {
+            VecRepr::Vm(id) => self.heap.write_chunk(*id, at, data),
+            VecRepr::Table(t) => t.vec.write_range(at, data)?,
+            VecRepr::Node(_) => unreachable!("deferred values have no eager store"),
+        }
+        Ok(())
+    }
+
+    /// Read element `i` of `v`.
+    fn eager_get(&mut self, v: &VecRepr, i: usize) -> ExecResult<f64> {
+        Ok(match v {
+            VecRepr::Vm(id) => self.heap.get(*id, i),
+            VecRepr::Table(t) => t.vec.get(i)?,
+            VecRepr::Node(_) => unreachable!("deferred values have no eager store"),
+        })
+    }
+
+    /// Write element `i` of `v`.
+    fn eager_set(&mut self, v: &VecRepr, i: usize, x: f64) -> ExecResult<()> {
+        match v {
+            VecRepr::Vm(id) => self.heap.set(*id, i, x),
+            VecRepr::Table(t) => t.vec.set(i, x)?,
+            VecRepr::Node(_) => unreachable!("deferred values have no eager store"),
+        }
+        Ok(())
+    }
+
+    /// Finish writing `v`: a table flushes its blocks in order (one bulky
+    /// sequential write); the heap has nothing to flush.
+    fn eager_seal(&self, v: &VecRepr) -> ExecResult<()> {
+        if let VecRepr::Table(t) = v {
+            t.vec.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Read `out.len()` elements of `v` recycled to `n`, from position
+    /// `at`: a range read when `v` has all `n` elements, else one element
+    /// read each (R's recycling is rare for large operands).
+    fn eager_read_recycled(
+        &mut self,
+        v: &VecRepr,
+        n: usize,
+        at: usize,
+        out: &mut [f64],
+    ) -> ExecResult<()> {
+        let len = self.vec_len(v);
+        if len == n {
+            return self.eager_read(v, at, out);
+        }
+        for (i, x) in out.iter_mut().enumerate() {
+            *x = self.eager_get(v, (at + i) % len)?;
+        }
+        Ok(())
+    }
+
+    /// A fresh eager vector of `len` elements, filled a chunk at a time:
+    /// `fill(rt, at, buf)` computes elements `at..at + buf.len()` and the
+    /// chunk is written. Sealing is left to the caller.
+    fn eager_build(
+        &mut self,
+        len: usize,
+        name: Option<&str>,
+        mut fill: impl FnMut(&mut Self, usize, &mut [f64]) -> ExecResult<()>,
+    ) -> ExecResult<VecRepr> {
+        let dst = self.eager_alloc(len, name)?;
+        let chunk = self.chunk();
+        let mut buf = vec![0.0; chunk];
+        let mut at = 0;
+        while at < len {
+            let take = chunk.min(len - at);
+            fill(self, at, &mut buf[..take])?;
+            self.eager_write(&dst, at, &buf[..take])?;
+            at += take;
+        }
+        Ok(dst)
+    }
+
+    /// [`Runtime::eager_build`] on Plain R's heap, for its matrices.
+    fn heap_build(
+        &mut self,
+        len: usize,
+        fill: impl FnMut(&mut Self, usize, &mut [f64]) -> ExecResult<()>,
+    ) -> ExecResult<VmId> {
+        match self.eager_build(len, None, fill)? {
+            VecRepr::Vm(id) => Ok(id),
+            _ => unreachable!("Plain R stores on the heap"),
+        }
+    }
+
+    /// An eager vector holding `values`.
+    fn eager_values(&mut self, values: &[f64]) -> ExecResult<VecRepr> {
+        let v = self.eager_alloc(values.len(), None)?;
+        self.eager_write(&v, 0, values)?;
+        Ok(v)
+    }
+
+    /// The governance checkpoint label of an eager loop: the engines keep
+    /// their own label for the same loop.
+    fn eager_site(&self, heap: &'static str, table: &'static str) -> &'static str {
+        if self.cfg.kind == EngineKind::PlainR {
+            heap
+        } else {
+            table
         }
     }
 
@@ -1507,31 +1277,31 @@ impl Runtime {
     /// Fully evaluate a vector value into memory (the `print` forcing
     /// point). Riot optimizes the whole reachable DAG here.
     pub(crate) fn collect(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
-        match (&self.cfg.kind, v) {
-            (EngineKind::PlainR, VecRepr::Vm(id)) => {
-                self.ctx.governor().add_flops(self.heap.len(*id) as u64);
-                Ok(self.heap.to_vec(*id))
+        let VecRepr::Node(id) = *v else {
+            let mut out = vec![0.0; self.vec_len(v)];
+            // Plain R charges the copy out of its heap; a table scan is
+            // I/O only.
+            if let VecRepr::Vm(_) = v {
+                self.ctx.governor().add_flops(out.len() as u64);
             }
-            (EngineKind::Strawman, VecRepr::Table(t)) => Ok(t.vec.to_vec()?),
-            (kind, VecRepr::Node(id)) => {
-                // MatNamed reads a name it already materialized back as is.
-                if *kind == EngineKind::MatNamed {
-                    if let Some(vec) = self.materialized.get(id) {
-                        return Ok(vec.to_vec()?);
-                    }
-                }
-                self.force("collect", *id, |rt, root| {
-                    let len = rt.graph.shape(root).len();
-                    rt.ctx.governor().add_flops(len as u64);
-                    if let Some(out) = rt.try_parallel_collect(root, len)? {
-                        return Ok(out);
-                    }
-                    let pipe = governed(rt.compile(root, len)?, &rt.ctx, "pipeline.collect.chunk");
-                    drain_to_vec(pipe)
-                })
+            self.eager_read(v, 0, &mut out)?;
+            return Ok(out);
+        };
+        // MatNamed reads a name it already materialized back as is.
+        if self.cfg.kind == EngineKind::MatNamed {
+            if let Some(vec) = self.materialized.get(&id) {
+                return Ok(vec.to_vec()?);
             }
-            _ => unreachable!("representation matches engine"),
         }
+        self.force("collect", id, |rt, root| {
+            let len = rt.graph.shape(root).len();
+            rt.ctx.governor().add_flops(len as u64);
+            if let Some(out) = rt.try_parallel_collect(root, len)? {
+                return Ok(out);
+            }
+            let pipe = governed(rt.compile(root, len)?, &rt.ctx, "pipeline.collect.chunk");
+            drain_to_vec(pipe)
+        })
     }
 
     /// §5's materialization decision: a deferred-only engine would
@@ -1923,15 +1693,8 @@ impl Runtime {
             &self.ctx,
             "pipeline.collect.chunk",
         ))?;
-        for (k, &raw) in idx.iter().enumerate() {
-            let i = raw as i64;
-            if i < 1 || i as usize > vec.len() {
-                return Err(ExecError::Expr(crate::expr::ExprError::IndexOutOfBounds {
-                    index: i,
-                    len: vec.len(),
-                }));
-            }
-            vec.set(i as usize - 1, vals[k])?;
+        for (&raw, &v) in idx.iter().zip(&vals) {
+            vec.set(subscript(raw, vec.len())?, v)?;
         }
         self.ctx.governor().add_flops((len + idx.len()) as u64);
         self.materialized.insert(node_id, vec.clone());
@@ -1939,24 +1702,6 @@ impl Runtime {
     }
 
     // ================= matrices =================
-
-    /// Elementwise conditional `ifelse(cond, yes, no)`.
-    pub(crate) fn ifelse(
-        &mut self,
-        cond: &VecRepr,
-        yes: &VecRepr,
-        no: &VecRepr,
-    ) -> ExecResult<VecRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (VecRepr::Node(c), VecRepr::Node(y), VecRepr::Node(n)) = (cond, yes, no) else {
-                    unreachable!()
-                };
-                Ok(VecRepr::Node(self.graph.if_else(*c, *y, *n)?))
-            }
-            _ => self.ifelse_eager(cond, yes, no),
-        }
-    }
 
     /// Matrix shape `(rows, cols)`.
     pub(crate) fn mat_shape(&self, m: &MatRepr) -> (usize, usize) {
@@ -1970,18 +1715,17 @@ impl Runtime {
         }
     }
 
+    /// Matrix shape, as the shape rules take it.
+    fn mat_shape_of(&self, m: &MatRepr) -> Shape {
+        let (rows, cols) = self.mat_shape(m);
+        Shape::Matrix(rows, cols)
+    }
+
     /// Matrix transpose.
     pub(crate) fn transpose(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let MatRepr::Node(id) = m else { unreachable!() };
-                Ok(MatRepr::Node(self.graph.transpose(*id)?))
-            }
-            EngineKind::PlainR => {
-                let MatRepr::Vm { id, rows, cols } = m else {
-                    unreachable!()
-                };
-                let (id, rows, cols) = (*id, *rows, *cols);
+        match m {
+            MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.transpose(*id)?)),
+            &MatRepr::Vm { id, rows, cols } => {
                 let t = self.heap.alloc(rows * cols);
                 for i in 0..rows {
                     for j in 0..cols {
@@ -1996,49 +1740,33 @@ impl Runtime {
                     cols: rows,
                 })
             }
-            EngineKind::Strawman => {
-                let MatRepr::Stored(sm) = m else {
-                    unreachable!()
-                };
+            MatRepr::Stored(sm) => {
                 let t = sm
                     .mat
                     .transpose(MatrixLayout::ColMajor, TileOrder::ColMajor, None)?;
-                Ok(MatRepr::Stored(Rc::new(StrawMat {
-                    owned: true,
-                    mat: t,
-                })))
+                Ok(stored(t))
             }
         }
     }
 
-    /// Matrix product.
+    /// Matrix product. The eager engines check [`Shape::matmul`] before
+    /// computing, as the graph does when it builds the node.
     pub(crate) fn matmul(&mut self, lhs: &MatRepr, rhs: &MatRepr) -> ExecResult<MatRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (MatRepr::Node(l), MatRepr::Node(r)) = (lhs, rhs) else {
-                    unreachable!()
-                };
-                Ok(MatRepr::Node(self.graph.matmul(*l, *r)?))
-            }
-            EngineKind::PlainR => {
-                let (
-                    MatRepr::Vm {
-                        id: a,
-                        rows: n1,
-                        cols: n2,
-                    },
-                    MatRepr::Vm {
-                        id: b,
-                        rows: rb,
-                        cols: n3,
-                    },
-                ) = (lhs, rhs)
-                else {
-                    unreachable!()
-                };
-                assert_eq!(n2, rb, "non-conformable matrices");
-                let (a, b) = (*a, *b);
-                let (n1, n2, n3) = (*n1, *n2, *n3);
+        if let (MatRepr::Node(l), MatRepr::Node(r)) = (lhs, rhs) {
+            return Ok(MatRepr::Node(self.graph.matmul(*l, *r)?));
+        }
+        self.mat_shape_of(lhs).matmul(&self.mat_shape_of(rhs))?;
+        match (lhs, rhs) {
+            (
+                &MatRepr::Vm {
+                    id: a,
+                    rows: n1,
+                    cols: n2,
+                },
+                &MatRepr::Vm {
+                    id: b, cols: n3, ..
+                },
+            ) => {
                 let t = self.heap.alloc(n1 * n3);
                 // R's internal loop (Example 2): j outer, i middle, k inner.
                 for j in 0..n3 {
@@ -2058,101 +1786,57 @@ impl Runtime {
                     cols: n3,
                 })
             }
-            EngineKind::Strawman => {
-                let (MatRepr::Stored(a), MatRepr::Stored(b)) = (lhs, rhs) else {
-                    unreachable!()
-                };
-                let (t, _) = matmul::matmul_naive(&a.mat, &b.mat, None)?;
-                Ok(MatRepr::Stored(Rc::new(StrawMat {
-                    owned: true,
-                    mat: t,
-                })))
+            (MatRepr::Stored(a), MatRepr::Stored(b)) => {
+                Ok(stored(matmul::matmul_naive(&a.mat, &b.mat, None)?.0))
             }
+            _ => unreachable!("representation matches engine"),
         }
     }
 
     /// Cholesky factorization `chol(a)`: the lower-triangular `L` with
     /// `L · Lᵀ = a`. Deferred engines record a [`Node::Chol`]; the eager
-    /// engines factor immediately in their own representation.
+    /// engines check [`Shape::chol`] and factor immediately in their own
+    /// representation.
     pub(crate) fn mat_chol(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let MatRepr::Node(id) = m else { unreachable!() };
-                Ok(MatRepr::Node(self.graph.chol(*id)?))
-            }
-            EngineKind::PlainR => {
-                let MatRepr::Vm { id, rows, cols } = m else {
-                    unreachable!()
-                };
-                let (id, rows, cols) = (*id, *rows, *cols);
-                if rows != cols || rows == 0 {
-                    return Err(ExecError::Expr(ExprError::Expected {
-                        what: "non-empty square matrix",
-                        got: Shape::Matrix(rows, cols),
-                    }));
-                }
+        if let MatRepr::Node(id) = m {
+            return Ok(MatRepr::Node(self.graph.chol(*id)?));
+        }
+        self.mat_shape_of(m).chol()?;
+        match m {
+            &MatRepr::Vm { id, rows, cols } => {
                 self.ctx.governor().checkpoint("plainr.chol")?;
                 let mut a = self.heap.to_vec(id);
                 dense_chol_inplace(&mut a, rows)?;
                 self.ctx
                     .governor()
                     .add_flops((rows * rows * rows / 3 + rows * rows) as u64);
-                let t = self.heap.alloc(rows * cols);
-                self.heap.write_chunk(t, 0, &a);
-                Ok(MatRepr::Vm { id: t, rows, cols })
+                let id = self.heap.alloc_from(&a);
+                Ok(MatRepr::Vm { id, rows, cols })
             }
-            EngineKind::Strawman => {
-                let MatRepr::Stored(sm) = m else {
-                    unreachable!()
-                };
-                let (l, _) = factor::chol_tiled(&sm.mat, self.mem_elems(), None)?;
-                Ok(MatRepr::Stored(Rc::new(StrawMat {
-                    owned: true,
-                    mat: l,
-                })))
-            }
+            MatRepr::Stored(sm) => Ok(stored(
+                factor::chol_tiled(&sm.mat, self.mem_elems(), None)?.0,
+            )),
+            MatRepr::Node(_) => unreachable!("handled above"),
         }
     }
 
     /// Linear solve `solve(a, b)` for symmetric positive definite `a` —
-    /// always Cholesky-backed; no engine materializes an inverse.
+    /// always Cholesky-backed; no engine materializes an inverse. The eager
+    /// engines check [`Shape::solve`] first.
     pub(crate) fn mat_solve(&mut self, a: &MatRepr, b: &MatRepr) -> ExecResult<MatRepr> {
-        match self.cfg.kind {
-            EngineKind::MatNamed | EngineKind::Riot => {
-                let (MatRepr::Node(l), MatRepr::Node(r)) = (a, b) else {
-                    unreachable!()
-                };
-                Ok(MatRepr::Node(self.graph.solve(*l, *r)?))
-            }
-            EngineKind::PlainR => {
-                let (
-                    MatRepr::Vm {
-                        id: ia,
-                        rows: n,
-                        cols: nc,
-                    },
-                    MatRepr::Vm {
-                        id: ib,
-                        rows: br,
-                        cols: m,
-                    },
-                ) = (a, b)
-                else {
-                    unreachable!()
-                };
-                let (ia, ib, n, nc, br, m) = (*ia, *ib, *n, *nc, *br, *m);
-                if n != nc || n == 0 {
-                    return Err(ExecError::Expr(ExprError::Expected {
-                        what: "non-empty square matrix",
-                        got: Shape::Matrix(n, nc),
-                    }));
-                }
-                if br != n || m == 0 {
-                    return Err(ExecError::Expr(ExprError::MatMulDims {
-                        lhs: Shape::Matrix(n, nc),
-                        rhs: Shape::Matrix(br, m),
-                    }));
-                }
+        if let (MatRepr::Node(l), MatRepr::Node(r)) = (a, b) {
+            return Ok(MatRepr::Node(self.graph.solve(*l, *r)?));
+        }
+        self.mat_shape_of(a).solve(&self.mat_shape_of(b))?;
+        match (a, b) {
+            (
+                &MatRepr::Vm {
+                    id: ia, rows: n, ..
+                },
+                &MatRepr::Vm {
+                    id: ib, cols: m, ..
+                },
+            ) => {
                 self.ctx.governor().checkpoint("plainr.solve")?;
                 let mut l = self.heap.to_vec(ia);
                 dense_chol_inplace(&mut l, n)?;
@@ -2161,39 +1845,32 @@ impl Runtime {
                 self.ctx
                     .governor()
                     .add_flops((n * n * n / 3 + 2 * n * n * m) as u64);
-                let t = self.heap.alloc(n * m);
-                self.heap.write_chunk(t, 0, &x);
+                let id = self.heap.alloc_from(&x);
                 Ok(MatRepr::Vm {
-                    id: t,
+                    id,
                     rows: n,
                     cols: m,
                 })
             }
-            EngineKind::Strawman => {
-                let (MatRepr::Stored(sa), MatRepr::Stored(sb)) = (a, b) else {
-                    unreachable!()
-                };
-                let (x, _) = factor::cholesky_solve(&sa.mat, &sb.mat, self.mem_elems(), 1, None)?;
-                Ok(MatRepr::Stored(Rc::new(StrawMat {
-                    owned: true,
-                    mat: x,
-                })))
+            (MatRepr::Stored(sa), MatRepr::Stored(sb)) => {
+                let mem = self.mem_elems();
+                Ok(stored(
+                    factor::cholesky_solve(&sa.mat, &sb.mat, mem, 1, None)?.0,
+                ))
             }
+            _ => unreachable!("representation matches engine"),
         }
     }
 
     /// Fully evaluate a matrix value to row-major data.
     pub(crate) fn collect_matrix(&mut self, m: &MatRepr) -> ExecResult<(usize, usize, Vec<f64>)> {
-        match (&self.cfg.kind, m) {
-            (EngineKind::PlainR, MatRepr::Vm { id, rows, cols }) => {
-                let data = self.heap.to_vec(*id);
-                Ok((*rows, *cols, data))
-            }
-            (EngineKind::Strawman, MatRepr::Stored(sm)) => {
+        match m {
+            &MatRepr::Vm { id, rows, cols } => Ok((rows, cols, self.heap.to_vec(id))),
+            MatRepr::Stored(sm) => {
                 let (r, c) = sm.mat.shape();
                 Ok((r, c, sm.mat.to_rows()?))
             }
-            (_, MatRepr::Node(id)) => self.force("collect_matrix", *id, |rt, root| {
+            MatRepr::Node(id) => self.force("collect_matrix", *id, |rt, root| {
                 Ok(match rt.force_matrix_value(root)? {
                     MatValue::Dense(mat) => {
                         let (r, c) = mat.shape();
@@ -2205,7 +1882,6 @@ impl Runtime {
                     }
                 })
             }),
-            _ => unreachable!("representation matches engine"),
         }
     }
 
@@ -2468,8 +2144,16 @@ impl Runtime {
     }
 }
 
-/// Count the non-zeros of a stored dense matrix by streaming its tiles
-/// (in-bounds cells only; boundary padding is ignored).
+/// The 0-based position of the 1-based R subscript `raw` in a vector of
+/// `len` elements.
+fn subscript(raw: f64, len: usize) -> ExecResult<usize> {
+    let index = raw as i64;
+    if index < 1 || index as usize > len {
+        return Err(ExprError::IndexOutOfBounds { index, len }.into());
+    }
+    Ok(index as usize - 1)
+}
+
 /// In-place dense lower Cholesky over a row-major `n x n` buffer: the
 /// in-memory engines' reference factorization (zeroes the strict upper
 /// triangle). The in-memory path has no tile schedule, so a pivot failure
@@ -2526,6 +2210,8 @@ fn dense_cholesky_substitute(l: &[f64], x: &mut [f64], n: usize, m: usize) {
     }
 }
 
+/// Count the non-zeros of a stored dense matrix by streaming its tiles
+/// (in-bounds cells only; boundary padding is ignored).
 fn count_dense_nnz(m: &DenseMatrix) -> ExecResult<u64> {
     let mut count = 0u64;
     m.for_each(|_, _, v| {

@@ -588,8 +588,7 @@ impl RVec {
 
     /// Subscript read: `x[idx]` (1-based indices).
     pub fn index(&self, idx: &RVec) -> RVec {
-        self.try_index(idx)
-            .unwrap_or_else(|e| panic!("subscript failed: {e}"))
+        or_panic(self.try_index(idx))
     }
 
     /// [`index`](Self::index), error surfaced.
@@ -599,8 +598,7 @@ impl RVec {
 
     /// Masked update returning the new state: `x[mask] <- value`.
     pub fn mask_assign(&self, mask: &RVec, value: f64) -> RVec {
-        self.try_mask_assign(mask, value)
-            .unwrap_or_else(|e| panic!("masked assignment failed: {e}"))
+        or_panic(self.try_mask_assign(mask, value))
     }
 
     /// [`mask_assign`](Self::mask_assign), error surfaced.
@@ -611,8 +609,7 @@ impl RVec {
 
     /// Masked update with a vector replacement: `x[mask] <- values`.
     pub fn mask_assign_vec(&self, mask: &RVec, values: &RVec) -> RVec {
-        self.try_mask_assign_vec(mask, values)
-            .unwrap_or_else(|e| panic!("masked assignment failed: {e}"))
+        or_panic(self.try_mask_assign_vec(mask, values))
     }
 
     /// [`mask_assign_vec`](Self::mask_assign_vec), error surfaced.
@@ -624,8 +621,7 @@ impl RVec {
     /// Indexed functional update: `x[idx] <- values` (1-based indices;
     /// `values` recycles to the index length).
     pub fn sub_assign(&self, idx: &RVec, values: &RVec) -> RVec {
-        self.try_sub_assign(idx, values)
-            .unwrap_or_else(|e| panic!("indexed assignment failed: {e}"))
+        or_panic(self.try_sub_assign(idx, values))
     }
 
     /// [`sub_assign`](Self::sub_assign), error surfaced.
@@ -703,8 +699,7 @@ impl RMat {
 
     /// `t(m)`: transpose.
     pub fn t(&self) -> RMat {
-        self.try_t()
-            .unwrap_or_else(|e| panic!("transpose failed: {e}"))
+        or_panic(self.try_t())
     }
 
     /// [`t`](Self::t), error surfaced — what interpreters use so
@@ -715,8 +710,7 @@ impl RMat {
 
     /// `a %*% b`.
     pub fn matmul(&self, rhs: &RMat) -> RMat {
-        self.try_matmul(rhs)
-            .unwrap_or_else(|e| panic!("matrix multiplication failed: {e}"))
+        or_panic(self.try_matmul(rhs))
     }
 
     /// [`matmul`](Self::matmul), error surfaced.
@@ -829,11 +823,11 @@ impl std::ops::Neg for &RVec {
     }
 }
 
-/// Unwrap an elementwise vector operation for the panicking sugar: the
-/// `RVec` convenience methods and the arithmetic operators. The `try_`
+/// Unwrap a session operation for the panicking sugar: the `RVec` and
+/// `RMat` convenience methods and the arithmetic operators. The `try_`
 /// methods surface the same error instead.
-fn or_panic(r: ExecResult<RVec>) -> RVec {
-    r.unwrap_or_else(|e| panic!("vector operation failed: {e}"))
+fn or_panic<T>(r: ExecResult<T>) -> T {
+    r.unwrap_or_else(|e| panic!("session operation failed: {e}"))
 }
 
 /// Shorthand for errors surfaced by sessions.

@@ -61,6 +61,136 @@ impl Shape {
         Ok(self.broadcast(other))
     }
 
+    /// The shape of `ifelse(self, yes, no)`: each pair of the three
+    /// operands must pass [`Shape::zip`], and the result is their common
+    /// broadcast.
+    pub fn if_else(&self, yes: &Shape, no: &Shape) -> Result<Shape, ExprError> {
+        for (a, b) in [(self, yes), (self, no), (yes, no)] {
+            a.zip(b, "ifelse")?;
+        }
+        Ok(self.broadcast(yes).broadcast(no))
+    }
+
+    /// The shape of the subscript read `self[index]`: a vector as long as
+    /// the index (a scalar index reads one element).
+    pub fn gather(&self, index: &Shape) -> Result<Shape, ExprError> {
+        self.expect_vector()?;
+        match *index {
+            Shape::Vector(n) => Ok(Shape::Vector(n)),
+            Shape::Scalar => Ok(Shape::Vector(1)),
+            got => Err(ExprError::Expected {
+                what: "index vector",
+                got,
+            }),
+        }
+    }
+
+    /// The shape of `self[index] <- value`: the vector `self`, with
+    /// `value` recycled to the index length.
+    pub fn sub_assign(&self, index: &Shape, value: &Shape) -> Result<Shape, ExprError> {
+        self.expect_vector()?;
+        index.recycles_into(value, "[<-")?;
+        Ok(*self)
+    }
+
+    /// The shape of `self[mask] <- value`: the vector `self`, with a mask
+    /// of the same shape (or a scalar) and `value` recycled to its length.
+    pub fn mask_assign(&self, mask: &Shape, value: &Shape) -> Result<Shape, ExprError> {
+        self.expect_vector()?;
+        if self != mask && *mask != Shape::Scalar {
+            return Err(ExprError::ShapeMismatch {
+                lhs: *self,
+                rhs: *mask,
+                op: "[mask<-",
+            });
+        }
+        self.recycles_into(value, "[mask<-")
+    }
+
+    /// The shape of the product `self %*% rhs`.
+    pub fn matmul(&self, rhs: &Shape) -> Result<Shape, ExprError> {
+        match (*self, *rhs) {
+            (Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) if c1 == r2 => Ok(Shape::Matrix(r1, c2)),
+            _ => Err(ExprError::MatMulDims {
+                lhs: *self,
+                rhs: *rhs,
+            }),
+        }
+    }
+
+    /// `self`, if it is a matrix: the rule of the representation
+    /// conversions (`as.dense`, `as.sparse`).
+    pub fn expect_matrix(&self) -> Result<Shape, ExprError> {
+        match *self {
+            s @ Shape::Matrix(..) => Ok(s),
+            got => Err(ExprError::Expected {
+                what: "matrix",
+                got,
+            }),
+        }
+    }
+
+    /// The shape of `t(self)`.
+    pub fn transpose(&self) -> Result<Shape, ExprError> {
+        match *self {
+            Shape::Matrix(r, c) => Ok(Shape::Matrix(c, r)),
+            got => Err(ExprError::Expected {
+                what: "matrix",
+                got,
+            }),
+        }
+    }
+
+    /// The shape of `chol(self)`. The check is structural (square,
+    /// non-empty); positive definiteness is a value property the kernels
+    /// check while factoring.
+    pub fn chol(&self) -> Result<Shape, ExprError> {
+        match *self {
+            s @ Shape::Matrix(r, c) if r == c && r > 0 => Ok(s),
+            got => Err(ExprError::Expected {
+                what: "non-empty square matrix",
+                got,
+            }),
+        }
+    }
+
+    /// The shape of `solve(self, rhs)`: `self` factors under
+    /// [`Shape::chol`], and `rhs` is an `n x m` right-hand side.
+    pub fn solve(&self, rhs: &Shape) -> Result<Shape, ExprError> {
+        match (self.chol()?, *rhs) {
+            (Shape::Matrix(n, _), Shape::Matrix(r, m)) if r == n && m > 0 => {
+                Ok(Shape::Matrix(n, m))
+            }
+            _ => Err(ExprError::MatMulDims {
+                lhs: *self,
+                rhs: *rhs,
+            }),
+        }
+    }
+
+    fn expect_vector(&self) -> Result<(), ExprError> {
+        match *self {
+            Shape::Vector(_) => Ok(()),
+            got => Err(ExprError::Expected {
+                what: "vector",
+                got,
+            }),
+        }
+    }
+
+    /// `value` recycles to `self` under [`Shape::zip`] without growing
+    /// it: the replacement rule of the update operators.
+    fn recycles_into(&self, value: &Shape, op: &'static str) -> Result<Shape, ExprError> {
+        if self.zip(value, op)? != *self {
+            return Err(ExprError::ShapeMismatch {
+                lhs: *self,
+                rhs: *value,
+                op,
+            });
+        }
+        Ok(*self)
+    }
+
     /// Resulting shape of an elementwise combination (caller must have
     /// checked [`Shape::broadcasts_with`]).
     pub fn broadcast(&self, other: &Shape) -> Shape {
@@ -119,6 +249,19 @@ mod tests {
         assert!(Shape::Matrix(2, 3).broadcasts_with(&Shape::Matrix(2, 3)));
         assert!(!Shape::Matrix(2, 3).broadcasts_with(&Shape::Matrix(3, 2)));
         assert!(!Shape::Matrix(2, 3).broadcasts_with(&Shape::Vector(6)));
+    }
+
+    #[test]
+    fn factor_shapes() {
+        let (a, b) = (Shape::Matrix(3, 3), Shape::Matrix(3, 2));
+        assert_eq!(a.matmul(&b), Ok(b));
+        assert!(b.matmul(&a).is_err());
+        assert_eq!(a.chol(), Ok(a));
+        assert!(b.chol().is_err());
+        assert!(Shape::Matrix(0, 0).chol().is_err());
+        assert_eq!(a.solve(&b), Ok(b));
+        assert!(a.solve(&Shape::Matrix(2, 2)).is_err());
+        assert!(b.solve(&b).is_err());
     }
 
     #[test]

@@ -671,6 +671,20 @@ impl Interpreter {
                 let nrow = named("nrow").map(|v| self.as_scalar(v)).transpose()?;
                 let ncol = named("ncol").map(|v| self.as_scalar(v)).transpose()?;
                 let n = values.len();
+                if n == 0 {
+                    return Err(RError::Runtime(
+                        "matrix() needs at least one data value".to_string(),
+                    ));
+                }
+                if [nrow, ncol]
+                    .into_iter()
+                    .flatten()
+                    .any(|d| d.is_nan() || d < 1.0)
+                {
+                    return Err(RError::Runtime(
+                        "matrix() needs nrow >= 1 and ncol >= 1".to_string(),
+                    ));
+                }
                 let (rows, cols) = match (nrow, ncol) {
                     (Some(r), Some(c)) => (r as usize, c as usize),
                     (Some(r), None) => (r as usize, n.div_ceil(r as usize)),
@@ -1451,20 +1465,102 @@ print(sum(nnz(p1) + nnz(p2) + nnz(p3) + nnz(p4)))";
         }
     }
 
+    /// Run `src` on a fresh interpreter: the printed output, the error
+    /// text, or the panic message — so one table row can expect any of
+    /// them and a panicking engine fails its row instead of the test.
+    fn outcome(kind: EngineKind, src: &str) -> String {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Interpreter::new(EngineConfig::new(kind)).run(src)
+        }));
+        match run {
+            Ok(Ok(out)) => out,
+            Ok(Err(e)) => e.to_string(),
+            Err(p) => {
+                let msg = p
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| p.downcast_ref::<&str>().copied())
+                    .unwrap_or("?");
+                format!("panic: {msg}")
+            }
+        }
+    }
+
     #[test]
     fn recycling_rule_is_the_same_on_every_engine() {
-        let ok = "print(c(1, 2) + c(10, 20, 30, 40))";
-        let bad = "print(c(1, 2) + c(1, 2, 3))";
-        for kind in EngineKind::all() {
-            assert_eq!(run_with(kind, ok), "[1] 11 22 31 42\n", "{kind:?}");
-            let mut i = Interpreter::new(EngineConfig::new(kind));
-            let err = i.run(bad).expect_err("lengths 2 and 3 do not recycle");
-            assert_eq!(
-                err.to_string(),
-                "execution error: expression: shape mismatch for '+': vec[2] vs vec[3]",
-                "{kind:?}"
-            );
+        const SHAPE: &str = "execution error: expression: shape mismatch for";
+        let rows: &[(&str, &str)] = &[
+            ("print(c(1, 2) + c(10, 20, 30, 40))", "[1] 11 22 31 42\n"),
+            ("print(c(1, 2) + c(1, 2, 3))", "'+': vec[2] vs vec[3]"),
+            ("x <- c(1, 2, 3)\nprint(x[x > 5])", "numeric(0)\n"),
+            ("x <- c()\nprint(length(x))", "[1] 0\n"),
+            ("x <- numeric(0)\nprint(x + 1)", "numeric(0)\n"),
+            ("x <- c(1, 2)\nprint(x[c()])", "numeric(0)\n"),
+            ("x <- c(1, 2, 3)\nprint(mean(x[x > 9]))", "[1] 0\n"),
+            (
+                "print(ifelse(c(1, 0, 1), c(1, 2), 0))",
+                "'ifelse': vec[3] vs vec[2]",
+            ),
+            ("print(ifelse(c(1, 0), c(1, 2, 3, 4), 0))", "[1] 1 0 3 0\n"),
+            (
+                "x <- c(1, 2, 3, 4)\nx[x > 2] <- c(7, 8, 9)",
+                "'[mask<-': vec[4] vs vec[3]",
+            ),
+            (
+                "x <- c(1, 2, 3)\nx[c(1, 2, 3)] <- c(9, 8)",
+                "'[<-': vec[3] vs vec[2]",
+            ),
+            (
+                "a <- matrix(1:6, nrow = 2, ncol = 3)\nprint(a %*% a)",
+                "execution error: expression: non-conformable matrices for %*%: \
+                 mat[2x3] vs mat[2x3]",
+            ),
+            (
+                "print(sample(3, 5))",
+                "execution error: unsupported: sample(3, 5): cannot take a sample \
+                 larger than the population without replacement",
+            ),
+            (
+                "print(matrix(c(), nrow = 2, ncol = 2))",
+                "error: matrix() needs at least one data value",
+            ),
+            (
+                "print(matrix(1:4, nrow = 0))",
+                "error: matrix() needs nrow >= 1 and ncol >= 1",
+            ),
+            (
+                "print(matrix(1:4, ncol = 0))",
+                "error: matrix() needs nrow >= 1 and ncol >= 1",
+            ),
+            (
+                "print(ifelse(c(1, 0), c(1, 2, 3, 4, 5, 6), c(1, 2, 3)))",
+                "'ifelse': vec[2] vs vec[3]",
+            ),
+            (
+                "x <- c(1, 2)\nx[c(1, 2)] <- c(5, 6, 7, 8)",
+                "'[<-': vec[2] vs vec[4]",
+            ),
+            (
+                "x <- c(1, 2)\nx[x > 0] <- c(5, 6, 7, 8)",
+                "'[mask<-': vec[2] vs vec[4]",
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for &(src, want) in rows {
+            let want = match want.strip_prefix('\'') {
+                Some(_) => format!("{SHAPE} {want}"),
+                None => want.to_string(),
+            };
+            for kind in EngineKind::all() {
+                let got = outcome(kind, src);
+                if got != want {
+                    wrong.push(format!(
+                        "{kind:?} on {src:?}:\n  got  {got:?}\n  want {want:?}"
+                    ));
+                }
+            }
         }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
     #[test]
